@@ -126,18 +126,42 @@ class CentroidSet:
 
         ``cor[c] ← (cor[c]·num[c] + x) / (num[c] + 1)``, ``num[c] += 1``.
         """
-        if not 0 <= label < self.n_labels:
-            raise ConfigurationError(
-                f"label {label} out of range [0, {self.n_labels})."
-            )
         x = as_vector(x, name="x", n_features=self.n_features)
-        n = int(self.counts[label])
-        n_eff = n if self.max_count is None else min(n, self.max_count)
-        if n_eff == 0:
-            self.recent[label] = x
-        else:
-            self.recent[label] = (self.recent[label] * n_eff + x) / (n_eff + 1)
-        self.counts[label] = n + 1
+        self.update_rows((label,), x[None, :])
+
+    def update_rows(self, labels: np.ndarray, X: np.ndarray) -> None:
+        """:meth:`update` for each ``(labels[i], X[i])`` in order.
+
+        The rows are validated once for the whole block; the running
+        means are still folded in one sample at a time, so the result is
+        bit-identical to calling :meth:`update` per row.
+        """
+        X = as_matrix(X, name="X", n_features=self.n_features)
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (len(X),):
+            raise ConfigurationError(
+                f"got {labels.size} labels for {len(X)} rows."
+            )
+        if labels.min() < 0 or labels.max() >= self.n_labels:
+            bad = int(labels[(labels < 0) | (labels >= self.n_labels)][0])
+            raise ConfigurationError(
+                f"label {bad} out of range [0, {self.n_labels})."
+            )
+        recent, cap = self.recent, self.max_count
+        counts = self.counts.tolist()
+        for label, x in zip(labels.tolist(), X):
+            n = counts[label]
+            n_eff = n if cap is None else min(n, cap)
+            row = recent[label]
+            if n_eff == 0:
+                row[:] = x
+            else:
+                # (row·n + x) / (n + 1), in place: the same three roundings.
+                row *= n_eff
+                row += x
+                row /= n_eff + 1
+            counts[label] = n + 1
+        self.counts[:] = counts
 
     def drift_distance(self) -> float:
         """Drift rate: total L1 distance between recent and trained centroids."""

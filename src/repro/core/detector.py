@@ -34,7 +34,16 @@ from .coords import CentroidSet
 if TYPE_CHECKING:  # type-only: core has no runtime telemetry dependency
     from ..telemetry import Telemetry
 
-__all__ = ["DetectorStep", "SequentialDriftDetector"]
+__all__ = [
+    "DetectorStep",
+    "SequentialDriftDetector",
+    "ROW_IDLE",
+    "ROW_CHECK",
+    "ROW_CLOSED",
+]
+
+#: Per-row codes returned by :meth:`SequentialDriftDetector.update_chunk`.
+ROW_IDLE, ROW_CHECK, ROW_CLOSED = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -114,84 +123,133 @@ class SequentialDriftDetector:
     def update(self, x: np.ndarray, label: int, error: float) -> DetectorStep:
         """Feed one sample with its predicted label and anomaly score.
 
-        Implements lines 5-19 of Algorithm 1. While the drift flag is
-        raised the detector is inert (the caller is reconstructing the
-        model); it resumes after :meth:`end_drift`.
+        Implements lines 5-19 of Algorithm 1 as the one-row case of
+        :meth:`update_chunk`. While the drift flag is raised the detector
+        is inert (the caller is reconstructing the model); it resumes
+        after :meth:`end_drift`.
         """
-        drift_detected = False
-        opened = False
-        closed = False
-        if not self.drift:
-            if not self.check:
-                # Lines 8-10: open a window on an anomalous score.
-                if error >= self.theta_error:
-                    self.check = True
-                    self._win = 0
-                    self.n_windows_opened += 1
-                    opened = True
-            if self.check and self._win < self.window_size:
-                # Lines 12-15: sequential centroid + drift-rate update.
-                self.centroids.update(label, x)
-                self.last_distance = self.centroids.drift_distance()
-                self._win += 1
-                if self._win == self.window_size:
-                    # Lines 16-19: end-of-window drift decision.
-                    closed = True
-                    if self.last_distance >= self.theta_drift:
-                        self.drift = True
-                        drift_detected = True
-                        self.n_drifts += 1
-                    self.check = False
-                    if not self.drift:
-                        # The window closed without drift: the detector is
-                        # idle again, so ``win`` must honour its documented
-                        # "0 when idle" contract (on drift, ``end_drift``
-                        # performs the reset).
-                        self._win = 0
-        tel = self.telemetry
-        if tel.enabled and (opened or closed or self.check):
-            self._telemetry_update(tel, opened, closed, drift_detected, error)
+        was_drifting = self.drift
+        self.update_chunk(np.reshape(x, (1, -1)), (label,), (error,))
         return DetectorStep(
-            drift_detected=drift_detected,
+            drift_detected=self.drift and not was_drifting,
             drifting=self.drift,
             checking=self.check,
             window_count=self._win,
             distance=self.last_distance,
         )
 
-    def _telemetry_update(
-        self,
-        tel: Telemetry,
-        opened: bool,
-        closed: bool,
-        drift_detected: bool,
-        error: float,
-    ) -> None:
-        """Window lifecycle events + the live drift-rate gauge."""
-        reg = tel.registry
-        reg.gauge(
-            "detector.distance", "current L1 centroid drift rate (Eq. 1 numerator)"
-        ).set(self.last_distance)
-        if opened:
-            reg.counter(
-                "detector.windows_opened", "check windows opened (θ_error crossings)"
-            ).inc()
-            tel.emit("window_opened", window=self.n_windows_opened, score=error)
-        if closed:
-            reg.counter(
-                "detector.windows_closed", "check windows closed", labels=("drift",)
-            ).inc(drift=drift_detected)
-            if drift_detected:
-                reg.counter(
-                    "detector.drifts", "drift flags raised (θ_drift crossings)"
-                ).inc()
-            tel.emit(
-                "window_closed",
-                window=self.n_windows_opened,
-                drift=drift_detected,
-                distance=self.last_distance,
-                threshold=self.theta_drift,
+    def update_chunk(
+        self, X: np.ndarray, labels: np.ndarray, errors: np.ndarray
+    ) -> np.ndarray:
+        """Run Algorithm 1 (lines 5-19) over scored rows, in order.
+
+        ``labels``/``errors`` are the model's predictions for ``X``. The
+        call stops after the row that raises the drift flag — the caller
+        reconstructs from the next row on — or after the last row, and
+        returns one code per row it consumed: :data:`ROW_IDLE` (the row
+        touched nothing), :data:`ROW_CHECK` (it updated the recent
+        centroids and the window is still open after it) or
+        :data:`ROW_CLOSED` (it updated them and closed the window, with
+        or without drift). While the drift flag is raised every row is
+        idle.
+
+        Idle rows are skipped with one vectorised threshold search; the
+        rows of a window are validated once and folded into the
+        centroids one by one. The drift rate is evaluated when a window
+        closes and once at the end of the call, so :attr:`last_distance`
+        is exact whenever control returns to the caller.
+        """
+        n = len(X)
+        errors = np.asarray(errors, dtype=np.float64)
+        labels = np.asarray(labels)
+        if labels.shape != (n,) or errors.shape != (n,):
+            raise ConfigurationError(
+                f"need one label and one score per row: {n} rows, "
+                f"labels {labels.shape}, scores {errors.shape}."
             )
+        status = np.full(n, ROW_IDLE, dtype=np.int8)
+        if self.drift:
+            return status
+        centroids = self.centroids
+        window = self.window_size
+        tel = self.telemetry
+        traced = tel.enabled
+        touched = stale = False
+        stop = n
+        j = 0
+        while j < n:
+            if not self.check:
+                # Lines 8-10: open a window on the next anomalous score.
+                hits = np.flatnonzero(errors[j:] >= self.theta_error)
+                if not len(hits):
+                    break
+                j += int(hits[0])
+                self.check = True
+                self._win = 0
+                self.n_windows_opened += 1
+                if traced:
+                    self._telemetry_opened(tel, float(errors[j]))
+            take = min(window - self._win, n - j)
+            if take <= 0:
+                # An open window that is already full (only a hand-made
+                # state gets here) absorbs rows without updating.
+                status[j:] = ROW_CHECK
+                break
+            # Lines 12-15: sequential centroid updates for the window rows.
+            centroids.update_rows(labels[j : j + take], X[j : j + take])
+            status[j : j + take] = ROW_CHECK
+            self._win += take
+            j += take
+            touched = stale = True
+            if self._win == window:
+                # Lines 16-19: end-of-window drift decision.
+                status[j - 1] = ROW_CLOSED
+                self.last_distance = centroids.drift_distance()
+                stale = False
+                self.check = False
+                drift = self.last_distance >= self.theta_drift
+                if drift:
+                    self.drift = True
+                    self.n_drifts += 1
+                else:
+                    # Idle again: ``win`` honours its "0 when idle"
+                    # contract (on drift, ``end_drift`` resets it).
+                    self._win = 0
+                if traced:
+                    self._telemetry_closed(tel, drift)
+                if drift:
+                    stop = j
+                    break
+        if stale:
+            self.last_distance = centroids.drift_distance()
+        if traced and touched:
+            tel.registry.gauge(
+                "detector.distance", "current L1 centroid drift rate (Eq. 1 numerator)"
+            ).set(self.last_distance)
+        return status[:stop]
+
+    def _telemetry_opened(self, tel: Telemetry, error: float) -> None:
+        tel.registry.counter(
+            "detector.windows_opened", "check windows opened (θ_error crossings)"
+        ).inc()
+        tel.emit("window_opened", window=self.n_windows_opened, score=error)
+
+    def _telemetry_closed(self, tel: Telemetry, drift_detected: bool) -> None:
+        reg = tel.registry
+        reg.counter(
+            "detector.windows_closed", "check windows closed", labels=("drift",)
+        ).inc(drift=drift_detected)
+        if drift_detected:
+            reg.counter(
+                "detector.drifts", "drift flags raised (θ_drift crossings)"
+            ).inc()
+        tel.emit(
+            "window_closed",
+            window=self.n_windows_opened,
+            drift=drift_detected,
+            distance=self.last_distance,
+            threshold=self.theta_drift,
+        )
 
     def end_drift(self) -> None:
         """Lower the drift flag (Reconstruct_Model returned False)."""

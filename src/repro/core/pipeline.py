@@ -35,8 +35,8 @@ from ..detectors.base import BatchDriftDetector, DriftState, ErrorRateDriftDetec
 from ..oselm.ensemble import MultiInstanceModel
 from ..utils.hooks import default_telemetry
 from ..utils.exceptions import ConfigurationError
-from ..utils.validation import validate_checkpoint_config
-from .detector import SequentialDriftDetector
+from ..utils.validation import as_matrix, validate_checkpoint_config
+from .detector import ROW_CHECK, SequentialDriftDetector
 from .reconstruction import ModelReconstructor
 
 __all__ = [
@@ -75,8 +75,8 @@ class StreamPipeline(abc.ABC):
 
     #: How the pipeline's adaptive state evolves while streaming:
     #: ``"static"`` — never after construction (frozen baseline);
-    #: ``"quiet"`` — only on non-predict samples (drift checks,
-    #: reconstruction), which the record stream makes observable;
+    #: ``"quiet"`` — only on the samples counted by :attr:`n_mutations`
+    #: (drift checks, reconstruction);
     #: ``"always"`` — potentially on every sample (per-sample training,
     #: detector buffers/statistics). Checkpointed runs rewrite the state
     #: container only for intervals that may have mutated state; the
@@ -113,6 +113,11 @@ class StreamPipeline(abc.ABC):
         self.last_resumed_at: Optional[int] = None
         #: attached :class:`~repro.guard.runtime.RuntimeGuard` (or None)
         self.guard = None
+        #: monotone count of samples whose step may have changed adaptive
+        #: state. Checkpointing and the guard compare it across a chunk
+        #: to tell whether the chunk mutated anything; it is not part of
+        #: the checkpointed state.
+        self.n_mutations = 0
 
     def attach_guard(self, guard) -> "StreamPipeline":
         """Route every sample through ``guard`` (see :mod:`repro.guard`).
@@ -141,14 +146,15 @@ class StreamPipeline(abc.ABC):
         """Replay ``stream``; returns one :class:`StepRecord` per sample.
 
         ``chunk_size`` controls the vectorized fast path: samples are
-        consumed in chunks of up to that many, and while the pipeline is
-        in its pure-predict phase (detector idle, no reconstruction, no
-        refit) a whole chunk is scored with matrix ops at once, dropping
-        back to :meth:`process_one` from the first sample that triggers a
-        state change. Records are **bit-identical** to the per-sample path
-        (the golden-equivalence tests assert this), so the default is
-        chunked; pass ``chunk_size=1`` to force the reference per-sample
-        loop.
+        consumed in chunks of up to that many. Outside reconstruction a
+        chunk is scored with matrix ops at once and the detector then
+        runs over the scored rows, up to the sample that raises a drift;
+        a reconstruction chunk maps every instance's random layer once
+        and trains sample by sample on those rows, up to the sample that
+        completes it. Records are **bit-identical** to the per-sample
+        path (the golden-equivalence tests assert this), so the default
+        is chunked; pass ``chunk_size=1`` to force the reference
+        per-sample loop.
 
         With ``checkpoint_every=N`` and ``checkpoint_path`` given (both
         or neither), the run is checkpointed every ``N`` processed
@@ -226,10 +232,57 @@ class StreamPipeline(abc.ABC):
 
         The base implementation has no fast path and simply streams the
         whole chunk through :meth:`process_one` (ONLAD trains on every
-        sample, so nothing can be batched there). Subclasses with a pure
-        predict phase override this to score vectorised prefixes.
+        sample, so nothing can be batched there). The detecting pipelines
+        override this to score the chunk in one pass, run their detector
+        over the scored rows up to a detection, and reconstruct through
+        :meth:`_reconstruct_chunk`.
         """
         return [self.process_one(Xc[j], int(yc[j])) for j in range(len(Xc))]
+
+    def _reconstruct_chunk(
+        self, Xc: np.ndarray, yc, *, drift_detected: bool = False
+    ) -> List[StepRecord]:
+        """Algorithm 2 over a prefix of the chunk; returns its records.
+
+        Shared by the pipelines that answer a detection with
+        ``self.reconstructor``. Each instance's hidden rows for the chunk
+        are computed once (the random layers are frozen); every sample is
+        then scored against the model as it stands (``h @ β``, bit-identical
+        to the per-sample path) and handed to the reconstructor together
+        with those rows and its argmin label. The chunk ends with the
+        sample that completes the reconstruction, after
+        :meth:`_end_reconstruction` has run for it. ``drift_detected``
+        marks the first record as the detection sample.
+        """
+        model = self.model
+        reconstructor = self.reconstructor
+        X = as_matrix(Xc, name="X", n_features=model.n_features)
+        H = model.hidden_rows(X)
+        recs: List[StepRecord] = []
+        for j in range(len(X)):
+            x = X[j]
+            hidden = [Hc[j : j + 1] for Hc in H]
+            scores = model.scores_hidden(hidden, x)
+            c = int(scores.argmin())
+            step = reconstructor.process(x, hidden=hidden, predicted=c)
+            if not step.still_reconstructing:
+                self._end_reconstruction()
+            recs.append(
+                self._record(
+                    c, scores[c], yc[j],
+                    drift_detected=drift_detected and j == 0,
+                    reconstructing=True,
+                    phase=step.phase,
+                )
+            )
+            if not step.still_reconstructing:
+                break
+        model.count_predictions(len(recs))
+        self.n_mutations += len(recs)
+        return recs
+
+    def _end_reconstruction(self) -> None:
+        """Hook: the reconstructor reported completion for this sample."""
 
     def _guard_bypass(self) -> None:
         """Guard hook: drop adaptive in-flight state on entering bypass.
@@ -342,6 +395,7 @@ class StreamPipeline(abc.ABC):
 
     def set_state(self, state: dict) -> None:
         """Restore a :meth:`get_state` snapshot."""
+        self.n_mutations += 1
         self._index = int(state["index"])
         self.detections = [int(d) for d in state["detections"]]
         self._in_recon = bool(state["in_recon"])
@@ -387,6 +441,7 @@ class ONLADPipeline(StreamPipeline):
     def process_one(self, x: np.ndarray, y_true: Optional[int] = None) -> StepRecord:
         c, err = self.model.predict_with_score(x)
         self.model.partial_fit_one(x, c)
+        self.n_mutations += 1
         return self._record(c, err, y_true, phase="train")
 
 
@@ -400,10 +455,10 @@ class ProposedPipeline(StreamPipeline):
     """
 
     name = "proposed"
-    #: Algorithm 1 mutates nothing for idle sub-threshold predictions,
-    #: and every state-mutating sample (trigger, check, reconstruction)
-    #: ends its sub-chunk and is flagged by phase/drift/recon — so clean
-    #: intervals skip the state-container rewrite.
+    #: Algorithm 1 mutates nothing for idle sub-threshold predictions;
+    #: check-window rows and reconstruction steps are counted in
+    #: :attr:`n_mutations`, so intervals without them skip the
+    #: state-container rewrite.
     checkpoint_volatility = "quiet"
 
     def __init__(
@@ -425,47 +480,46 @@ class ProposedPipeline(StreamPipeline):
         self.reconstructor = reconstructor
 
     def process_one(self, x: np.ndarray, y_true: Optional[int] = None) -> StepRecord:
-        if self.detector.drift:
-            # Lines 20-21: the stream drives reconstruction.
-            c, err = self.model.predict_with_score(x)
-            step = self.reconstructor.process(x)
-            if not step.still_reconstructing:
-                self.detector.end_drift()
-            return self._record(
-                c, err, y_true, reconstructing=True, phase=step.phase
-            )
-        c, err = self.model.predict_with_score(x)
-        det = self.detector.update(x, c, err)
-        if det.drift_detected:
-            step = self.reconstructor.process(x)
-            if not step.still_reconstructing:
-                self.detector.end_drift()
-            return self._record(
-                c, err, y_true, drift_detected=True, reconstructing=True, phase=step.phase
-            )
-        phase = "check" if det.checking else "predict"
-        return self._record(c, err, y_true, phase=phase)
+        x = as_matrix(x, name="x", n_features=self.model.n_features)
+        return self._process_chunk(x, (y_true,))[0]
 
-    def _process_chunk(self, Xc: np.ndarray, yc: np.ndarray) -> List[StepRecord]:
-        # Fast path only while the detector is idle: no open check window,
-        # no reconstruction. Idle samples with score < θ_error are pure
-        # predictions (Algorithm 1 mutates nothing for them), so the chunk
-        # is scored at once and control drops to process_one at the first
-        # sample whose score reaches the trigger.
-        if self.detector.drift or self.detector.check:
-            return [self.process_one(Xc[0], int(yc[0]))]
-        labels, scores = self.model.predict_with_score_batch(Xc)
-        hits = np.flatnonzero(scores >= self.detector.theta_error)
-        stop = int(hits[0]) if len(hits) else len(Xc)
-        recs = [self._record(labels[j], scores[j], int(yc[j])) for j in range(stop)]
-        if stop < len(Xc):
-            recs.append(self.process_one(Xc[stop], int(yc[stop])))
+    def _process_chunk(self, Xc: np.ndarray, yc) -> List[StepRecord]:
+        # Lines 20-21: while the drift flag is up the stream drives
+        # reconstruction.
+        if self.detector.drift:
+            return self._reconstruct_chunk(Xc, yc)
+        # Lines 6-7 for the whole chunk at once, then lines 8-19 over the
+        # scored rows. The check window never touches the model, so the
+        # scores stay valid up to and including the row that raises the
+        # drift flag; that row is also the first one Reconstruct_Model
+        # sees (line 21 runs in the same loop iteration).
+        labels, scores = self.model.predict_with_score_batch(Xc, count=False)
+        status = self.detector.update_chunk(Xc, labels, scores)
+        self.n_mutations += int(np.count_nonzero(status))
+        drifted = self.detector.drift
+        n = len(status) - int(drifted)
+        self.model.count_predictions(n)
+        record = self._record
+        recs = [
+            record(c, err, y, phase="check" if code == ROW_CHECK else "predict")
+            for c, err, y, code in zip(
+                labels[:n].tolist(), scores[:n].tolist(), yc[:n], status[:n].tolist()
+            )
+        ]
+        if drifted:
+            recs += self._reconstruct_chunk(
+                Xc[n : n + 1], yc[n : n + 1], drift_detected=True
+            )
         return recs
+
+    def _end_reconstruction(self) -> None:
+        self.detector.end_drift()
 
     def prefers_batched_scoring(self) -> bool:
         # Reconstruction (the drift flag) trains on every sample; the
         # check window only updates detector statistics, so primed scores
-        # stay valid through it.
+        # stay valid through it and _process_chunk consumes them in one
+        # slice, check window or not.
         return not self.detector.drift
 
     def state_nbytes(self) -> int:
@@ -477,6 +531,7 @@ class ProposedPipeline(StreamPipeline):
         # close the detector's window/flag so Algorithm 1 restarts idle.
         self.reconstructor.abort()
         self.detector.end_drift()
+        self.n_mutations += 1
 
     def _extra_state(self) -> dict:
         # The detector snapshot covers the shared CentroidSet.
@@ -526,7 +581,7 @@ class BatchDetectorPipeline(StreamPipeline):
         self._refit_buffer: List[np.ndarray] = []
         self._refitting = False
 
-    def _finish_reconstruction(self) -> None:
+    def _end_reconstruction(self) -> None:
         self._reconstructing = False
         self.detector.reset_stream()
         if self.refit_reference:
@@ -541,51 +596,59 @@ class BatchDetectorPipeline(StreamPipeline):
         self._refitting = False
         self._refit_buffer = []
         self.detector.reset_stream()
+        self.n_mutations += 1
 
     def process_one(self, x: np.ndarray, y_true: Optional[int] = None) -> StepRecord:
-        c, err = self.model.predict_with_score(x)
-        if self._reconstructing:
-            step = self.reconstructor.process(x)
-            if not step.still_reconstructing:
-                self._finish_reconstruction()
-            return self._record(c, err, y_true, reconstructing=True, phase=step.phase)
-        if self._refitting:
-            self._refit_buffer.append(np.asarray(x, dtype=np.float64).ravel())
-            if len(self._refit_buffer) >= self.detector.batch_size:
-                self.detector.fit_reference(np.asarray(self._refit_buffer))
-                self._refit_buffer = []
-                self._refitting = False
-                self.telemetry.emit(
-                    "reference_refitted", pipeline=self.name, index=self._index
-                )
-            return self._record(c, err, y_true, phase="refit")
-        detected = self.detector.update_one(x)
-        if detected:
-            self._reconstructing = True
-            step = self.reconstructor.process(x)
-            if not step.still_reconstructing:
-                self._finish_reconstruction()
-            return self._record(
-                c, err, y_true, drift_detected=True, reconstructing=True, phase=step.phase
-            )
-        return self._record(c, err, y_true)
+        x = as_matrix(x, name="x", n_features=self.model.n_features)
+        return self._process_chunk(x, (y_true,))[0]
 
-    def _process_chunk(self, Xc: np.ndarray, yc: np.ndarray) -> List[StepRecord]:
-        # Samples that cannot complete the detector's batch are pure
-        # predictions plus a buffer append; score them in one batched
-        # forward pass and leave the batch-completing sample (and any
-        # reconstruction/refit state) to process_one.
-        if self._reconstructing or self._refitting:
-            return [self.process_one(Xc[0], int(yc[0]))]
-        room = self.detector.batch_size - self.detector.buffered_samples - 1
-        stop = min(room, len(Xc))
-        if stop <= 0:
-            return [self.process_one(Xc[0], int(yc[0]))]
-        labels, scores = self.model.predict_with_score_batch(Xc[:stop])
-        recs = []
-        for j in range(stop):
-            self.detector.update_one(Xc[j])  # cannot fill the batch: no test fires
-            recs.append(self._record(labels[j], scores[j], int(yc[j])))
+    def _process_chunk(self, Xc: np.ndarray, yc) -> List[StepRecord]:
+        if self._reconstructing:
+            return self._reconstruct_chunk(Xc, yc)
+        # Buffering and refitting never touch the model, so the chunk is
+        # scored at once; only a detection (which starts reconstruction)
+        # ends it early.
+        labels, scores = self.model.predict_with_score_batch(Xc, count=False)
+        if self._refitting:
+            return self._refit_chunk(Xc, yc, labels, scores)
+        recs: List[StepRecord] = []
+        for j in range(len(labels)):
+            if self.detector.update_one(Xc[j]):
+                self._reconstructing = True
+                break
+            recs.append(self._record(labels[j], scores[j], yc[j]))
+        self.model.count_predictions(len(recs))
+        self.n_mutations += len(recs)
+        if self._reconstructing:
+            j = len(recs)
+            recs += self._reconstruct_chunk(
+                Xc[j : j + 1], yc[j : j + 1], drift_detected=True
+            )
+        return recs
+
+    def _refit_chunk(self, Xc, yc, labels, scores) -> List[StepRecord]:
+        """Collect the new reference window; the chunk ends when it fills."""
+        batch = self.detector.batch_size
+        take = min(len(labels), batch - len(self._refit_buffer))
+        self._refit_buffer.extend(
+            np.asarray(x, dtype=np.float64).ravel() for x in Xc[:take]
+        )
+        recs = [
+            self._record(labels[j], scores[j], yc[j], phase="refit")
+            for j in range(take - 1)
+        ]
+        if len(self._refit_buffer) >= batch:
+            self.detector.fit_reference(np.asarray(self._refit_buffer))
+            self._refit_buffer = []
+            self._refitting = False
+            self.telemetry.emit(
+                "reference_refitted", pipeline=self.name, index=self._index
+            )
+        recs.append(
+            self._record(labels[take - 1], scores[take - 1], yc[take - 1], phase="refit")
+        )
+        self.model.count_predictions(take)
+        self.n_mutations += take
         return recs
 
     def prefers_batched_scoring(self) -> bool:
@@ -650,19 +713,13 @@ class ErrorRatePipeline(StreamPipeline):
         self.name = name or type(detector).__name__.lower()
         self._reconstructing = False
 
-    def _reconstruction_step(self, x: np.ndarray):
-        """Drive one reconstruction sample; resets detector on completion.
-
-        The detector reset must happen in *every* path that finishes a
-        reconstruction — including the one-shot case where reconstruction
-        completes within the detection sample itself — or stale DDM/ADWIN
-        error statistics re-fire immediately on the next sample.
-        """
-        step = self.reconstructor.process(x)
-        if not step.still_reconstructing:
-            self._reconstructing = False
-            self.detector.reset()
-        return step
+    def _end_reconstruction(self) -> None:
+        # The detector reset must happen in *every* path that finishes a
+        # reconstruction — including the one-shot case where it completes
+        # within the detection sample itself — or stale DDM/ADWIN error
+        # statistics re-fire immediately on the next sample.
+        self._reconstructing = False
+        self.detector.reset()
 
     def _guard_bypass(self) -> None:
         # Error-rate statistics accumulated on faulty predictions are
@@ -670,47 +727,36 @@ class ErrorRatePipeline(StreamPipeline):
         self.reconstructor.abort()
         self._reconstructing = False
         self.detector.reset()
+        self.n_mutations += 1
 
     def process_one(self, x: np.ndarray, y_true: Optional[int] = None) -> StepRecord:
         if y_true is None:
             raise ConfigurationError(
                 f"{self.name} needs ground-truth labels (supervised detection)."
             )
-        c, err = self.model.predict_with_score(x)
-        if self._reconstructing:
-            step = self._reconstruction_step(x)
-            return self._record(c, err, y_true, reconstructing=True, phase=step.phase)
-        state = self.detector.update(c != y_true)
-        if state is DriftState.DRIFT:
-            self._reconstructing = True
-            step = self._reconstruction_step(x)
-            return self._record(
-                c, err, y_true, drift_detected=True, reconstructing=True, phase=step.phase
-            )
-        return self._record(c, err, y_true)
+        x = as_matrix(x, name="x", n_features=self.model.n_features)
+        return self._process_chunk(x, (y_true,))[0]
 
-    def _process_chunk(self, Xc: np.ndarray, yc: np.ndarray) -> List[StepRecord]:
+    def _process_chunk(self, Xc: np.ndarray, yc) -> List[StepRecord]:
+        if self._reconstructing:
+            return self._reconstruct_chunk(Xc, yc)
         # The model is only mutated by reconstruction, so chunk scores stay
         # valid up to (and including) the sample that fires the detector;
         # the detector itself is still fed sample by sample.
-        if self._reconstructing:
-            return [self.process_one(Xc[0], int(yc[0]))]
-        labels, scores = self.model.predict_with_score_batch(Xc)
+        labels, scores = self.model.predict_with_score_batch(Xc, count=False)
         recs: List[StepRecord] = []
-        for j in range(len(Xc)):
-            c, y_j = int(labels[j]), int(yc[j])
-            state = self.detector.update(c != y_j)
-            if state is DriftState.DRIFT:
+        for j in range(len(labels)):
+            if self.detector.update(int(labels[j]) != int(yc[j])) is DriftState.DRIFT:
                 self._reconstructing = True
-                step = self._reconstruction_step(Xc[j])
-                recs.append(
-                    self._record(
-                        c, scores[j], y_j,
-                        drift_detected=True, reconstructing=True, phase=step.phase,
-                    )
-                )
-                return recs
-            recs.append(self._record(c, scores[j], y_j))
+                break
+            recs.append(self._record(labels[j], scores[j], yc[j]))
+        self.model.count_predictions(len(recs))
+        self.n_mutations += len(recs)
+        if self._reconstructing:
+            j = len(recs)
+            recs += self._reconstruct_chunk(
+                Xc[j : j + 1], yc[j : j + 1], drift_detected=True
+            )
         return recs
 
     def prefers_batched_scoring(self) -> bool:

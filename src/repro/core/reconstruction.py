@@ -39,7 +39,7 @@ rate re-anchors at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -201,18 +201,35 @@ class ModelReconstructor:
 
     # -- Algorithm 2 -------------------------------------------------------------------
 
-    def process(self, x: np.ndarray) -> ReconstructionStep:
+    def process(
+        self,
+        x: np.ndarray,
+        *,
+        hidden: Optional[Sequence[np.ndarray]] = None,
+        predicted: Optional[int] = None,
+    ) -> ReconstructionStep:
         """Feed one sample; returns whether reconstruction continues.
 
         Mirrors Algorithm 2: increments ``count``, dispatches the sample
         to the phase-appropriate coordinate and training updates, and
         returns ``False`` (complete) exactly when ``count == N``.
+
+        A caller that has already scored ``x`` can pass what it computed:
+        ``hidden`` — the model's :meth:`~repro.oselm.ensemble.MultiInstanceModel.hidden_rows`
+        row of ``x`` for each instance — and ``predicted`` — the model's
+        argmin label for ``x`` before this step. Training then reuses
+        them instead of re-running the random layers and rescoring a
+        model that has not changed; both are derived from ``x`` when
+        omitted.
         """
         if not self._active:
             self._begin()
         self.count += 1
         count = self.count
         x = np.asarray(x, dtype=np.float64).ravel()
+        model = self.model
+        if hidden is None:
+            hidden = model.hidden_rows(x)
 
         phase = "train_predict"
         label = -1
@@ -227,15 +244,20 @@ class ModelReconstructor:
         half = self.n_total // 2
         if count < half:
             # Lines 8-9: centroid-labelled training (no model prediction).
-            label = self.centroids.nearest_label(x)
-            self.model.partial_fit_one(x, label)
+            label = model.partial_fit_hidden(hidden, x, self.centroids.nearest_label(x))
             if phase == "train_predict":
                 phase = "train_centroid"
             if self.literal_overlap and count < self.n_total:
-                label = self.model.partial_fit_one(x)  # second, self-labelled pass
+                # Second, self-labelled pass: the model just changed, so
+                # the label comes from rescoring it.
+                relabel = int(model.scores_hidden(hidden, x).argmin())
+                label = model.partial_fit_hidden(hidden, x, relabel)
         elif count < self.n_total:
-            # Lines 11-12: self-labelled training.
-            label = self.model.partial_fit_one(x)
+            # Lines 11-12: self-labelled training. Nothing has touched the
+            # model since the caller scored x, so its argmin is the label.
+            if predicted is None:
+                predicted = int(model.scores_hidden(hidden, x).argmin())
+            label = model.partial_fit_hidden(hidden, x, predicted)
         finished = count >= self.n_total
         tel = self.telemetry
         if tel.enabled:

@@ -2,8 +2,9 @@
 
 This is the engine home of what used to be
 ``StreamPipeline._run_checkpointed``: deferred record-log appends,
-dirty-tracking per the pipeline's ``checkpoint_volatility``, the
-epoch/trust rule, clean-interval batching, and the crash-unwind path.
+dirty-tracking per the pipeline's ``checkpoint_volatility`` and
+``n_mutations`` counter, the epoch/trust rule, clean-interval
+batching, and the crash-unwind path.
 The record streams it produces are byte-identical to the historical
 in-pipeline implementation — the golden-resume suite pins that.
 
@@ -11,10 +12,12 @@ Persistence contract (unchanged):
 
 * sub-chunks are clamped to the next checkpoint boundary so saves land
   at exact multiples of ``every`` samples;
-* a *dirty* boundary (state may have changed) appends the accumulated
-  records with a bumped epoch, flushes the log, then submits the state
-  container to the shared strict-FIFO writer — the log block reaches the
-  OS before the container that references it (trust rule);
+* a *dirty* boundary (state may have changed: the pipeline's
+  ``n_mutations`` counter moved, or its volatility is ``"always"``)
+  appends the accumulated records with a bumped epoch, flushes the log,
+  then submits the state container to the shared strict-FIFO writer —
+  the log block reaches the OS before the container that references it
+  (trust rule);
 * a *clean* boundary writes nothing; accumulated clean records reach the
   log every ``checkpoint_sync_blocks`` intervals or on unwind;
 * the unwind appends a clean tail (resumable — the on-disk state still
@@ -84,6 +87,7 @@ class CheckpointInterceptor(Interceptor):
         self._durable = pipeline.checkpoint_durable
         self._sync_blocks = pipeline.checkpoint_sync_blocks
         self._dirty = self._volatility == "always"
+        self._clean_mark = pipeline.n_mutations
         self._unsynced = 0
         self._last_saved = ctx.position
         self._last_appended = ctx.position
@@ -100,12 +104,10 @@ class CheckpointInterceptor(Interceptor):
 
     def after_chunk(self, ctx: RunContext, recs: list) -> None:
         i = ctx.position
-        if self._volatility == "quiet" and not self._dirty:
-            # Every fast path returns the state-mutating sample *last* in
-            # its sub-chunk, so one O(1) look at the tail record suffices.
-            last = recs[-1]
-            if last.phase != "predict" or last.drift_detected or last.reconstructing:
-                self._dirty = True
+        if not self._dirty and ctx.pipeline.n_mutations != self._clean_mark:
+            # The pipeline counts every step that may change its state,
+            # wherever in the chunk it fell.
+            self._dirty = True
         if i - self._last_saved >= self.every and i < ctx.n:
             if self._dirty or not self._state_written:
                 # A dirty span's block carries the *new* epoch and lands
@@ -124,6 +126,7 @@ class CheckpointInterceptor(Interceptor):
                 self._submit_state(ctx, i, self._epoch)
                 self._state_written = True
                 self._dirty = self._volatility == "always"
+                self._clean_mark = ctx.pipeline.n_mutations
                 self._unsynced = 0
             else:
                 # Clean interval: nothing to persist — the log stays

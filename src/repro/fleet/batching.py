@@ -22,9 +22,11 @@ learned betas. The batched path exploits exactly that:
    rows instead of recomputing them.
 
 Fallback is per-session and automatic. A session whose pipeline reports
-``prefers_batched_scoring() == False`` (drift window open, an in-flight
-reconstruction / reference refit, ONLAD's per-sample training), carries
-a guard, or hosts a foreign model class is left on the sequential path.
+``prefers_batched_scoring() == False`` (an in-flight reconstruction or
+reference refit, ONLAD's per-sample training), carries a guard, or hosts
+a foreign model class is left on the sequential path. An open check
+window is no reason to fall back: it never touches the model, and the
+pipeline consumes the primed rows of the whole window in one slice.
 And because any training step invalidates the primed cache, eligibility
 is purely a *throughput* heuristic — a drift that fires mid-window
 simply drops the remaining primed rows and recomputes, byte-identically.

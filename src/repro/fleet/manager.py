@@ -296,9 +296,9 @@ class FleetManager:
         :func:`~repro.fleet.batching.model_signature`; every group is
         scored in one stacked GEMM and primed, then the window feeds
         sequentially as usual, with each pipeline consuming its primed
-        rows. Ineligible sessions (guard attached, drift window open,
-        reconstruction or refit in flight, per-sample trainers) fall
-        back to the sequential path — and records stay byte-identical
+        rows. Ineligible sessions (guard attached, reconstruction or
+        refit in flight, per-sample trainers) fall back to the
+        sequential path — and records stay byte-identical
         either way (the batched golden suite pins this).
         """
         self._check_open()

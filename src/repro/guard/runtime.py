@@ -40,19 +40,6 @@ from .sentinels import NumericHealthSentinel
 
 __all__ = ["RuntimeGuard"]
 
-#: record phases that do NOT mutate adaptive model state
-_NON_MUTATING_PHASES = frozenset(("predict", "quarantine", "passthrough", "frozen"))
-
-
-def _mutating(rec) -> bool:
-    """Does this record's step possibly change learned model state?"""
-    return (
-        rec.phase not in _NON_MUTATING_PHASES
-        or rec.drift_detected
-        or rec.reconstructing
-    )
-
-
 class RuntimeGuard:
     """Self-healing wrapper around one stream pipeline.
 
@@ -302,29 +289,21 @@ class RuntimeGuard:
         ):
             # Fast path: delegate verbatim — records byte-identical to an
             # unguarded run. Bookkeeping only touches tallies.
+            mutations = pipe.n_mutations
             recs = pipe._process_chunk(Xc, yc)
             self.sanitizer.counts["ok"] += len(recs)
             self.sanitizer._last_good = np.array(Xc[len(recs) - 1], dtype=np.float64)
             last = recs[-1]
             self._last_pred, self._last_score = last.predicted, last.anomaly_score
-            if pipe.checkpoint_volatility == "always" or _mutating(last):
+            if pipe.checkpoint_volatility == "always" or pipe.n_mutations != mutations:
                 # Only steps that can change learned state advance the
                 # snapshot cadence — a pure-predict chunk costs nothing.
                 self._since_snapshot += len(recs)
                 self._check_sentinel()
                 self._maybe_snapshot()
             return recs
-        # Slow path: per-sample sanitation. For "quiet" pipelines the
-        # sub-chunk must end right after a state-mutating record — the
-        # checkpoint dirty-tracking inspects only the last record.
-        quiet = pipe.checkpoint_volatility == "quiet"
-        recs = []
-        for j in range(len(Xc)):
-            rec = self._step(Xc[j], int(yc[j]))
-            recs.append(rec)
-            if quiet and _mutating(rec):
-                break
-        return recs
+        # Slow path: per-sample sanitation.
+        return [self._step(Xc[j], int(yc[j])) for j in range(len(Xc))]
 
     def _step(self, x: np.ndarray, y_true: int):
         """Guarded equivalent of ``pipeline.process_one`` for one sample."""
@@ -354,9 +333,10 @@ class RuntimeGuard:
             self._last_pred, self._last_score = int(c), float(err)
             phase = "frozen" if level == GuardLevel.FROZEN else "passthrough"
             return pipe._record(c, err, y_true, phase=phase)
+        mutations = pipe.n_mutations
         rec = pipe.process_one(xs, y_true)
         self._last_pred, self._last_score = rec.predicted, rec.anomaly_score
-        if _mutating(rec) or pipe.checkpoint_volatility == "always":
+        if pipe.n_mutations != mutations or pipe.checkpoint_volatility == "always":
             self._since_snapshot += 1
             self._check_sentinel()
             self._maybe_snapshot()

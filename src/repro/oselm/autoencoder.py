@@ -95,6 +95,11 @@ class OSELMAutoencoder:
         self.core.partial_fit_one(x, x)
         return self
 
+    def partial_fit_hidden(self, h: np.ndarray, x: np.ndarray) -> "OSELMAutoencoder":
+        """:meth:`partial_fit_one` for a sample whose hidden row ``h`` is known."""
+        self.core.partial_fit_hidden(h, x)
+        return self
+
     # -- scoring ---------------------------------------------------------------
 
     def reconstruct(self, X: np.ndarray) -> np.ndarray:
@@ -112,7 +117,14 @@ class OSELMAutoencoder:
     def score_one(self, x: np.ndarray) -> float:
         """Anomaly score for one sample."""
         x = np.asarray(x, dtype=np.float64).ravel()
-        r = self.core.predict_one(x)
+        return self._error(self.core.predict_one(x), x)
+
+    def score_hidden(self, h: np.ndarray, x: np.ndarray) -> float:
+        """:meth:`score_one` for a validated 1-D ``x`` whose hidden row ``h``
+        is known; bit-identical to ``score_one(x)``."""
+        return self._error(self.core.predict_hidden(h), x)
+
+    def _error(self, r: np.ndarray, x: np.ndarray) -> float:
         if self.error_metric == "mse":
             return float(np.mean((r - x) ** 2))
         return float(np.mean(np.abs(r - x)))

@@ -131,12 +131,31 @@ class MultiInstanceModel:
                 f"label {label} out of range [0, {self.n_labels})."
             )
         self.instances[label].partial_fit_one(x)
+        self._count_training(label)
+        return int(label)
+
+    def partial_fit_hidden(self, hidden: Sequence[np.ndarray], x: np.ndarray, label: int) -> int:
+        """:meth:`partial_fit_one` for a validated sample with known hidden rows.
+
+        ``hidden`` is :meth:`hidden_rows` for ``x`` (one ``(1, n_hidden)``
+        row per instance); instance ``label`` trains with its own rank-1
+        step on its row. Returns ``label``.
+        """
+        self._primed = None
+        if not 0 <= label < self.n_labels:
+            raise ConfigurationError(
+                f"label {label} out of range [0, {self.n_labels})."
+            )
+        self.instances[label].partial_fit_hidden(hidden[label], x)
+        self._count_training(label)
+        return int(label)
+
+    def _count_training(self, label: int) -> None:
         tel = self.telemetry
         if tel.enabled:
             tel.registry.counter(
                 "oselm.train", "sequential training steps", labels=("instance",)
             ).inc(instance=label)
-        return int(label)
 
     # -- score priming (fleet batched scoring) ------------------------------------
 
@@ -206,16 +225,36 @@ class MultiInstanceModel:
             off = self._primed_offset(1)
             if off is not None:
                 labels, scores = self._primed[0], self._primed[1]
-                tel = self.telemetry
-                if tel.enabled:
-                    tel.registry.counter("oselm.predict", "label predictions").inc()
+                self.count_predictions(1)
                 return int(labels[off]), float(scores[off])
         scores = self.scores_one(x)
         c = int(scores.argmin())
+        self.count_predictions(1)
+        return c, float(scores[c])
+
+    def hidden_rows(self, X: np.ndarray) -> list[np.ndarray]:
+        """Each instance's hidden rows for ``X``: a list of ``(n, n_hidden)``.
+
+        Computed with the row-stable ``transform_rowwise`` kernel, so row
+        ``i`` of instance ``c`` is bit-identical to its ``transform_one``
+        of ``X[i]``. The random layers never change, so the rows stay
+        valid while the model trains on the chunk.
+        """
+        X = as_matrix(X, name="X", n_features=self.n_features)
+        return [inst.core.layer.transform_rowwise(X) for inst in self.instances]
+
+    def scores_hidden(self, hidden: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+        """:meth:`scores_one` for a validated ``x`` with known hidden rows
+        (one ``(1, n_hidden)`` row per instance); bit-identical to it."""
+        return np.array(
+            [inst.score_hidden(h, x) for inst, h in zip(self.instances, hidden)]
+        )
+
+    def count_predictions(self, n: int) -> None:
+        """Add ``n`` to the ``oselm.predict`` counter (telemetry on)."""
         tel = self.telemetry
         if tel.enabled:
-            tel.registry.counter("oselm.predict", "label predictions").inc()
-        return c, float(scores[c])
+            tel.registry.counter("oselm.predict", "label predictions").inc(n)
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         """Batch anomaly scores, shape ``(n, C)`` (vectorised)."""
@@ -238,28 +277,33 @@ class MultiInstanceModel:
         X = as_matrix(X, name="X", n_features=self.n_features)
         return np.column_stack([inst.score_rowwise(X) for inst in self.instances])
 
-    def predict_with_score_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def predict_with_score_batch(
+        self, X: np.ndarray, *, count: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised ``(labels, anomaly_scores)`` for a whole chunk.
 
         Equivalent to ``[predict_with_score(x) for x in X]`` — same argmin
         tie-breaking, same floats to the last bit — but computed with
         matrix ops instead of a per-sample Python loop. Returns
         ``(n,)`` int labels and ``(n,)`` float scores.
+
+        ``count=False`` leaves the ``oselm.predict`` counter to the
+        caller: a streaming pipeline whose chunk ends early (at a drift)
+        scores the rest again later, so it counts through
+        :meth:`count_predictions` only the rows it consumed.
         """
         if self._primed is not None:
             n = len(np.asarray(X))
             off = self._primed_offset(n)
             if off is not None:
                 labels, scores = self._primed[0], self._primed[1]
-                tel = self.telemetry
-                if tel.enabled:
-                    tel.registry.counter("oselm.predict", "label predictions").inc(n)
+                if count:
+                    self.count_predictions(n)
                 return labels[off : off + n], scores[off : off + n]
         S = self.scores_rowwise(X)
         labels = S.argmin(axis=1)
-        tel = self.telemetry
-        if tel.enabled:
-            tel.registry.counter("oselm.predict", "label predictions").inc(len(S))
+        if count:
+            self.count_predictions(len(S))
         return labels, S[np.arange(len(S)), labels]
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -151,7 +151,21 @@ class OSELM:
         """Single-sample sequential update (no inversion, O(h²) work)."""
         if not self.is_fitted:
             raise NotFittedError(self, "partial_fit_one")
-        h = self.layer.transform_one(x)
+        return self.partial_fit_hidden(self.layer.transform_one(x), t)
+
+    def partial_fit_hidden(self, h: np.ndarray, t: np.ndarray) -> "OSELM":
+        """:meth:`partial_fit_one` for a sample whose hidden row is known.
+
+        ``h`` is the ``(1, n_hidden)`` feature row of the sample (from
+        :meth:`~repro.oselm.random_layer.RandomLayer.transform_one` or a
+        row of ``transform_rowwise``, which is bit-identical). The random
+        layer is frozen, so a caller that already mapped a chunk can train
+        on its rows without re-running the layer. Subclasses change the
+        step itself (:meth:`_rank1_update`), so this stays correct for
+        them too.
+        """
+        if not self.is_fitted:
+            raise NotFittedError(self, "partial_fit_hidden")
         t = np.asarray(t, dtype=np.float64).reshape(1, -1)
         if t.shape[1] != self.n_outputs:
             raise ConfigurationError(
@@ -193,7 +207,11 @@ class OSELM:
         """Network output vector for one sample, shape ``(n_outputs,)``."""
         if not self.is_fitted:
             raise NotFittedError(self, "predict_one")
-        return (self.layer.transform_one(x) @ self.beta)[0]
+        return self.predict_hidden(self.layer.transform_one(x))
+
+    def predict_hidden(self, h: np.ndarray) -> np.ndarray:
+        """Network output for a ``(1, n_hidden)`` hidden row, shape ``(n_outputs,)``."""
+        return (h @ self.beta)[0]
 
     def predict_rowwise(self, X: np.ndarray) -> np.ndarray:
         """Batch outputs, bit-identical per row to :meth:`predict_one`.

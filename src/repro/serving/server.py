@@ -34,7 +34,7 @@ import asyncio
 import json
 import threading
 from pathlib import Path
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..engine.spec import ExperimentSpec
 from ..fleet.manager import FleetManager
@@ -70,6 +70,17 @@ _INDEX = (
 )
 
 
+def _content_length(value: Optional[str]) -> Optional[int]:
+    """Parsed ``Content-Length`` (0 when absent); ``None`` when invalid."""
+    if not value:
+        return 0
+    try:
+        length = int(value)
+    except ValueError:
+        return None
+    return length if length >= 0 else None
+
+
 class IngestServer:
     """Serve an :class:`IngestCore` over HTTP/1.1 from an asyncio loop."""
 
@@ -97,6 +108,8 @@ class IngestServer:
         self._thread: Optional[threading.Thread] = None
         self._bound: Optional[Tuple[str, int]] = None
         self._startup_error: Optional[BaseException] = None
+        #: running connection handlers and their writers (closed on stop)
+        self._clients: Dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -157,6 +170,15 @@ class IngestServer:
             loop.run_forever()
         finally:
             server.close()
+            # Keep-alive clients may still sit in readline(): close their
+            # connections so the handlers read EOF and finish while the
+            # loop can still run their callbacks.
+            clients = list(self._clients.items())
+            for _, writer in clients:
+                writer.close()
+            loop.run_until_complete(
+                asyncio.gather(*(task for task, _ in clients), return_exceptions=True)
+            )
             loop.run_until_complete(server.wait_closed())
             loop.run_until_complete(loop.shutdown_asyncgens())
             loop.close()
@@ -184,6 +206,8 @@ class IngestServer:
     async def _serve_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._clients[task] = writer
         try:
             while True:
                 request_line = await reader.readline()
@@ -204,7 +228,18 @@ class IngestServer:
                         break
                     key, _, value = line.decode("latin-1").partition(":")
                     headers[key.strip().lower()] = value.strip()
-                length = int(headers.get("content-length") or 0)
+                length = _content_length(headers.get("content-length"))
+                if length is None:
+                    # The body cannot be delimited, so neither can the
+                    # next request: answer and drop the connection.
+                    writer.write(
+                        self._render(
+                            400, _JSON, '{"error": "bad content-length"}\n',
+                            keep_alive=False,
+                        )
+                    )
+                    await writer.drain()
+                    break
                 body = await reader.readexactly(length) if length else b""
                 status, ctype, payload, extra = self._route(method, target, body)
                 keep_alive = (
@@ -224,6 +259,7 @@ class IngestServer:
         ):
             pass
         finally:
+            self._clients.pop(task, None)
             try:
                 writer.close()
                 await writer.wait_closed()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import CentroidSet, SequentialDriftDetector
+from repro.core.detector import ROW_CHECK, ROW_CLOSED, ROW_IDLE
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -140,3 +141,49 @@ class TestMemory:
         for _ in range(500):
             det.update(rng.random(2), int(rng.integers(2)), error=1.0)
         assert det.state_nbytes() == before  # never stores samples
+
+
+class TestUpdateChunk:
+    def test_codes_and_stop_at_the_drift_row(self):
+        det = make_detector(window=3, theta_error=0.5, theta_drift=2.0)
+        X = np.full((6, 2), 5.0)
+        errors = [0.1, 1.0, 0.1, 0.1, 1.0, 1.0]
+        status = det.update_chunk(X, np.zeros(6, dtype=int), errors)
+        # idle, open + update, update, close with drift — then stop.
+        assert status.tolist() == [ROW_IDLE, ROW_CHECK, ROW_CHECK, ROW_CLOSED]
+        assert det.drift and det.n_drifts == 1
+        assert det.last_distance == det.centroids.drift_distance()
+
+    def test_window_of_one_opens_and_closes_on_one_row(self):
+        det = make_detector(window=1, theta_error=0.5, theta_drift=100.0)
+        status = det.update_chunk(np.ones((3, 2)), [0, 0, 0], [0.1, 1.0, 0.1])
+        assert status.tolist() == [ROW_IDLE, ROW_CLOSED, ROW_IDLE]
+        assert not det.check and det.n_windows_opened == 1
+
+    def test_last_distance_is_exact_mid_window(self):
+        det = make_detector(window=5, theta_error=0.5, theta_drift=100.0)
+        det.update_chunk(np.array([[4.0, 0.0], [2.0, 2.0]]), [0, 0], [1.0, 0.0])
+        assert det.check and det.window_count == 2
+        assert det.last_distance == det.centroids.drift_distance()
+
+    def test_chunk_equals_row_by_row(self, rng):
+        X = rng.random((40, 2)) * 6
+        labels = rng.integers(0, 2, 40)
+        errors = rng.random(40) * 2
+        chunked = make_detector(window=4, theta_error=1.5, theta_drift=50.0)
+        rowwise = make_detector(window=4, theta_error=1.5, theta_drift=50.0)
+        chunked.update_chunk(X, labels, errors)
+        for x, c, e in zip(X, labels, errors):
+            rowwise.update(x, int(c), float(e))
+        assert chunked.get_state()["n_windows_opened"] > 1
+        np.testing.assert_array_equal(
+            chunked.centroids.recent, rowwise.centroids.recent
+        )
+        assert chunked.get_state() | {"centroids": None} == (
+            rowwise.get_state() | {"centroids": None}
+        )
+
+    def test_rejects_mismatched_lengths(self):
+        det = make_detector()
+        with pytest.raises(ConfigurationError):
+            det.update_chunk(np.zeros((3, 2)), [0, 0], [0.0, 0.0, 0.0])

@@ -225,7 +225,7 @@ class TestErrorRatePipeline:
                 return self.state
 
         class OneShotReconstructor:
-            def process(self, x):
+            def process(self, x, **precomputed):
                 return ReconstructionStep(
                     still_reconstructing=False, phase="finish", label=-1, count=1
                 )

@@ -224,3 +224,27 @@ class TestDerivedStreamResume:
         noisy_again = test.with_noise(0.01, np.random.default_rng(5))
         resumed = survivor.resume(noisy_again, ckpt)
         _assert_byte_identical(resumed, golden)
+
+
+def test_window_size_one_kill_resume_byte_identical(tmp_path):
+    """Regression: at ``window_size=1`` the sample that opens a check
+    window also closes it and is recorded as ``predict``. Checkpoint dirty
+    tracking must still see that the detector's centroids moved, or a
+    resume continues from a stale state container."""
+    train, test = _streams("coolingfan")
+
+    def make():
+        return build_proposed(train.X, train.y, window_size=1, error_z=1.0, seed=SEED)
+
+    reference = make()
+    golden = reference.run(test)
+    # Many one-row windows, none of them visible in the record phases.
+    assert reference.detector.n_windows_opened > 10
+    assert not any(r.phase == "check" for r in golden)
+    for kill in range(6, len(test), 7):
+        ckpt = tmp_path / f"w1-{kill}.ckpt"
+        victim = make()
+        with pytest.raises(InjectedCrash):
+            with crash_at(victim, kill):
+                victim.run(test, checkpoint_every=EVERY, checkpoint_path=ckpt)
+        _assert_byte_identical(make().resume(test, ckpt), golden)

@@ -9,6 +9,10 @@ producing a completion ticket once the gate opens (no record loss).
 
 from __future__ import annotations
 
+import gc
+import logging
+import socket
+import sys
 import threading
 import time
 
@@ -24,6 +28,7 @@ from repro.serving import (
     OfferStatus,
     device_priority,
 )
+from repro.serving.server import IngestServer
 from repro.utils.exceptions import ConfigurationError
 
 N_TEST = 120
@@ -395,3 +400,74 @@ class TestAdmissionController:
         with pytest.raises(ConfigurationError, match="already registered"):
             core.register("dev0", _spec(13))
         fm.close()
+
+
+class TestServerConnections:
+    """HTTP-level robustness of :class:`IngestServer` itself."""
+
+    @staticmethod
+    def _exchange(server, raw: bytes) -> tuple:
+        """Send ``raw`` on a fresh connection; return (reply, then-EOF?)."""
+        with socket.create_connection((server.host, server.port), timeout=5) as s:
+            s.sendall(raw)
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                data = s.recv(4096)
+                if not data:
+                    break
+                reply += data
+            head, _, body = reply.partition(b"\r\n\r\n")
+            length = int(
+                [h for h in head.split(b"\r\n") if h.lower().startswith(b"content-length")][0]
+                .split(b":")[1]
+            )
+            while len(body) < length:
+                body += s.recv(4096)
+            return head, s.recv(4096) == b""
+
+    @pytest.mark.parametrize("value", [b"abc", b"-5", b"1e3"])
+    def test_bad_content_length_answers_400_and_closes(self, value, caplog):
+        fm = FleetManager(capacity=2)
+        server = IngestServer(IngestCore(fm)).start()
+        try:
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                head, closed = self._exchange(
+                    server,
+                    b"POST /v1/devices/a/chunks HTTP/1.1\r\nContent-Length: "
+                    + value + b"\r\n\r\n{}",
+                )
+                # The server stays up for the next client.
+                ok, _ = self._exchange(server, b"GET /metrics HTTP/1.0\r\n\r\n")
+        finally:
+            server.stop()
+            fm.close()
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert closed
+        assert ok.startswith(b"HTTP/1.1 200 ")
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    def test_stop_with_keep_alive_client_connected_is_clean(self, caplog):
+        fm = FleetManager(capacity=2)
+        server = IngestServer(IngestCore(fm)).start()
+        unraisable = []
+        previous_hook = sys.unraisablehook
+        sys.unraisablehook = unraisable.append
+        try:
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                client = socket.create_connection((server.host, server.port), timeout=5)
+                client.sendall(b"GET /metrics HTTP/1.1\r\n\r\n")
+                assert client.recv(4096).startswith(b"HTTP/1.1 200 ")
+                thread = server._thread
+                server.stop()
+                assert not thread.is_alive()
+                # The server closed its end of the idle connection.
+                assert client.recv(4096) == b""
+                client.close()
+                gc.collect()
+        finally:
+            sys.unraisablehook = previous_hook
+            fm.close()
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+        assert not unraisable
+        assert not server._clients

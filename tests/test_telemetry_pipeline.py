@@ -19,6 +19,7 @@ import json
 import pytest
 
 from repro.core import build_proposed, build_quanttree_pipeline
+from repro.engine import Interceptor, StreamEngine, default_stack
 from repro.metrics import ParallelRunner, make_grid
 from repro.metrics.parallel import STREAM_FACTORIES
 from repro.telemetry import JsonlSink, RingBufferSink, configure, get_telemetry
@@ -240,3 +241,91 @@ class TestParallelRunnerTelemetry:
         reg = get_telemetry().registry
         assert reg.get("parallel.cache_misses") is None
         assert reg.get("parallel.cache_hits") is None
+
+
+class _NoReferenceLoop(Interceptor):
+    """Keeps ``chunk_size=1`` on the engine's chunked loop, whose
+    after-chunk observers emit the ``drift_audit`` events that the
+    per-sample reference loop skips."""
+
+    def allows_reference_loop(self, ctx) -> bool:
+        return False
+
+
+#: the instruments whose totals must not depend on chunking
+PARITY_COUNTERS = (
+    "pipeline.samples",
+    "oselm.predict",
+    "oselm.train",
+    "detector.windows_opened",
+    "detector.windows_closed",
+    "reconstructor.samples",
+)
+PARITY_EVENTS = (
+    "window_opened",
+    "window_closed",
+    "drift_detected",
+    "reconstruction_started",
+    "reconstruction_finished",
+    "reference_refitted",
+    "drift_audit",
+)
+
+PARITY_MAKERS = {
+    "proposed-w30": make_proposed,
+    "proposed-w1": lambda train: build_proposed(
+        train.X, train.y, window_size=1, error_z=1.0,
+        reconstruction_samples=100, seed=1,
+    ),
+    "quanttree": lambda train: build_quanttree_pipeline(
+        train.X, train.y, batch_size=100, n_bins=8,
+        reconstruction_samples=100, seed=1,
+    ),
+}
+
+
+def _instrumented_run(maker, chunk_size: int):
+    """Records, counter samples, filtered events and the final drift gauge."""
+    sink = RingBufferSink(capacity=100_000)
+    configure(enabled=True, sinks=[sink], reset=True)
+    train, test = make_streams()
+    pipe = maker(train)
+    stack = default_stack(pipe, chunk_size) + [_NoReferenceLoop()]
+    records = StreamEngine(pipe, test, stack).run()
+    reg = get_telemetry().registry
+    counters = {
+        name: reg.get(name).samples() for name in PARITY_COUNTERS if reg.get(name)
+    }
+    events = [
+        (e.name, {k: v for k, v in e.fields.items() if k != "recon_seconds"})
+        for e in sink
+        if e.name in PARITY_EVENTS
+    ]
+    gauge = reg.get("detector.distance")
+    return records, counters, events, None if gauge is None else gauge.value()
+
+
+class TestChunkedTelemetryParity:
+    """Chunking changes how much work one call does, never what the
+    instruments report: counts, event sequence and the last drift rate
+    equal those of one-sample chunks."""
+
+    @pytest.mark.parametrize("chunk_size", [7, 256])
+    @pytest.mark.parametrize("method", sorted(PARITY_MAKERS))
+    def test_chunked_matches_one_sample_chunks(self, method, chunk_size):
+        try:
+            reference = _instrumented_run(PARITY_MAKERS[method], 1)
+            chunked = _instrumented_run(PARITY_MAKERS[method], chunk_size)
+        finally:
+            configure(enabled=False, sinks=[], reset=True)
+        records, counters, events, gauge = reference
+        assert chunked[0] == records
+        assert chunked[1] == counters
+        assert chunked[2] == events
+        assert chunked[3] == gauge
+        # the comparison covers the interesting paths, not just predict
+        names = {name for name, _ in events}
+        assert {"drift_detected", "reconstruction_finished", "drift_audit"} <= names
+        assert counters["oselm.predict"][0]["value"] == len(records)
+        if method.startswith("proposed"):
+            assert "window_closed" in names and gauge is not None
