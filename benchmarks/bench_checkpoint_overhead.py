@@ -133,7 +133,7 @@ def measure_overhead(*, n_samples: int, rounds: int) -> float:
             )
 
         # Warm-up + sanity: checkpointing must not change the records
-        # (StepRecord is a frozen dataclass — field-wise equality).
+        # (StepRecord is a named tuple — field-wise equality).
         assert plain() == checkpointed(), "plain and checkpointed runs disagree"
 
         best_plain = float("inf")

@@ -174,7 +174,7 @@ def _measure(*, n_samples: int, rounds: int) -> tuple:
 
     # Warm-up + sanity: both paths must produce identical records.
     a, b = instrumented(), plain()
-    assert [r.__dict__ for r in a] == [r.__dict__ for r in b], (
+    assert [r._asdict() for r in a] == [r._asdict() for r in b], (
         "instrumented and uninstrumented runs disagree"
     )
 

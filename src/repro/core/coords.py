@@ -136,6 +136,11 @@ class CentroidSet:
         means are still folded in one sample at a time, so the result is
         bit-identical to calling :meth:`update` per row.
         """
+        self._fold_rows(*self._check_rows(labels, X))
+
+    def _check_rows(self, labels, X):
+        """Validate a block for :meth:`_fold_rows`: returns ``(labels as a
+        list of in-range ints, X as a finite (n, D) float matrix)``."""
         X = as_matrix(X, name="X", n_features=self.n_features)
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (len(X),):
@@ -147,20 +152,31 @@ class CentroidSet:
             raise ConfigurationError(
                 f"label {bad} out of range [0, {self.n_labels})."
             )
-        recent, cap = self.recent, self.max_count
+        return labels.tolist(), X
+
+    def _fold_rows(self, labels, X) -> None:
+        """:meth:`update_rows` on validated rows: ``labels`` are in-range
+        ints, ``X`` iterates over finite ``(D,)`` float rows."""
+        rows = list(self.recent)  # one view per label, made once
         counts = self.counts.tolist()
-        for label, x in zip(labels.tolist(), X):
+        cap = self.max_count
+        if cap is None:
+            cap = len(X) + max(counts)  # never reached in this call
+        for label, x in zip(labels, X):
             n = counts[label]
-            n_eff = n if cap is None else min(n, cap)
-            row = recent[label]
-            if n_eff == 0:
-                row[:] = x
-            else:
-                # (row·n + x) / (n + 1), in place: the same three roundings.
-                row *= n_eff
-                row += x
-                row /= n_eff + 1
             counts[label] = n + 1
+            if n > cap:
+                n = cap
+            row = rows[label]
+            if n:
+                # (row·n + x) / (n + 1), in place: the same three roundings.
+                # n is exact as a float, and ufuncs take a float faster.
+                f = float(n)
+                row *= f
+                row += x
+                row /= f + 1.0
+            else:
+                row[:] = x
         self.counts[:] = counts
 
     def drift_distance(self) -> float:
@@ -190,7 +206,10 @@ class CentroidSet:
         distance, provided it beats the current spread. Returns the index
         replaced, or -1 when ``x`` was not adopted.
         """
-        x = as_vector(x, name="x", n_features=self.n_features)
+        return self._init_coord(as_vector(x, name="x", n_features=self.n_features))
+
+    def _init_coord(self, x: np.ndarray) -> int:
+        """:meth:`init_coord` for a validated row."""
         best_label = -1
         best = self._total_pairwise_l1(self.recent)
         for c in range(self.n_labels):
@@ -213,14 +232,24 @@ class CentroidSet:
         Assigns ``x`` to the L1-nearest recent coordinate and applies the
         exact running-mean update to that coordinate.
         """
-        label = self.nearest_label(x)
-        self.update(label, x)
-        return label
+        return self._update_coord(as_vector(x, name="x", n_features=self.n_features))
 
     def nearest_label(self, x: np.ndarray) -> int:
         """``argmin_c |cor[c] − x|₁`` (used by Algorithms 2 and 4)."""
-        x = as_vector(x, name="x", n_features=self.n_features)
-        return int(np.abs(self.recent - x).sum(axis=1).argmin())
+        return self._nearest_label(as_vector(x, name="x", n_features=self.n_features))
+
+    # -- unchecked steps for validated rows ------------------------------------------------
+    #
+    # Reconstruction validates its chunk once and then runs these per row;
+    # each does exactly what its public counterpart does after validation.
+
+    def _nearest_label(self, x: np.ndarray) -> int:
+        return int(np.add.reduce(np.abs(self.recent - x), axis=1).argmin())
+
+    def _update_coord(self, x: np.ndarray) -> int:
+        label = self._nearest_label(x)
+        self._fold_rows((label,), (x,))
+        return label
 
     # -- lifecycle ---------------------------------------------------------------------------
 

@@ -154,10 +154,11 @@ class SequentialDriftDetector:
         idle.
 
         Idle rows are skipped with one vectorised threshold search; the
-        rows of a window are validated once and folded into the
-        centroids one by one. The drift rate is evaluated when a window
-        closes and once at the end of the call, so :attr:`last_distance`
-        is exact whenever control returns to the caller.
+        chunk is validated once, when its first window row is reached,
+        and window rows are folded into the centroids one by one. The
+        drift rate is evaluated when a window closes and once at the end
+        of the call, so :attr:`last_distance` is exact whenever control
+        returns to the caller.
         """
         n = len(X)
         errors = np.asarray(errors, dtype=np.float64)
@@ -175,6 +176,7 @@ class SequentialDriftDetector:
         tel = self.telemetry
         traced = tel.enabled
         touched = stale = False
+        rows = None  # validated on the first window row, once per call
         stop = n
         j = 0
         while j < n:
@@ -196,7 +198,9 @@ class SequentialDriftDetector:
                 status[j:] = ROW_CHECK
                 break
             # Lines 12-15: sequential centroid updates for the window rows.
-            centroids.update_rows(labels[j : j + take], X[j : j + take])
+            if rows is None:
+                rows, X = centroids._check_rows(labels, X)
+            centroids._fold_rows(rows[j : j + take], X[j : j + take])
             status[j : j + take] = ROW_CHECK
             self._win += take
             j += take

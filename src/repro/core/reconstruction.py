@@ -46,7 +46,7 @@ import numpy as np
 from ..oselm.ensemble import MultiInstanceModel
 from ..utils.exceptions import ConfigurationError
 from ..utils.hooks import default_telemetry
-from ..utils.validation import check_positive
+from ..utils.validation import as_vector, check_positive
 from .coords import CentroidSet
 
 if TYPE_CHECKING:  # type-only: core has no runtime telemetry dependency
@@ -220,44 +220,48 @@ class ModelReconstructor:
         argmin label for ``x`` before this step. Training then reuses
         them instead of re-running the random layers and rescoring a
         model that has not changed; both are derived from ``x`` when
-        omitted.
+        omitted. With ``hidden`` given, ``x`` must be the validated
+        ``(n_features,)`` float64 row the hidden rows were computed from
+        (the pipelines validate each chunk once); without it, ``x`` is
+        validated here.
         """
         if not self._active:
             self._begin()
         self.count += 1
         count = self.count
-        x = np.asarray(x, dtype=np.float64).ravel()
         model = self.model
+        centroids = self.centroids
         if hidden is None:
+            x = as_vector(x, name="x", n_features=centroids.n_features)
             hidden = model.hidden_rows(x)
 
         phase = "train_predict"
         label = -1
         if count < self.n_search:
-            self.centroids.init_coord(x)
+            centroids._init_coord(x)
             phase = "search"
         if count < self.n_update:
-            self.centroids.update_coord(x)
+            centroids._update_coord(x)
             if phase == "train_predict":
                 phase = "update"
 
         half = self.n_total // 2
         if count < half:
             # Lines 8-9: centroid-labelled training (no model prediction).
-            label = model.partial_fit_hidden(hidden, x, self.centroids.nearest_label(x))
+            label = model._train_hidden(hidden, x, centroids._nearest_label(x))
             if phase == "train_predict":
                 phase = "train_centroid"
             if self.literal_overlap and count < self.n_total:
                 # Second, self-labelled pass: the model just changed, so
                 # the label comes from rescoring it.
                 relabel = int(model.scores_hidden(hidden, x).argmin())
-                label = model.partial_fit_hidden(hidden, x, relabel)
+                label = model._train_hidden(hidden, x, relabel)
         elif count < self.n_total:
             # Lines 11-12: self-labelled training. Nothing has touched the
             # model since the caller scored x, so its argmin is the label.
             if predicted is None:
                 predicted = int(model.scores_hidden(hidden, x).argmin())
-            label = model.partial_fit_hidden(hidden, x, predicted)
+            label = model._train_hidden(hidden, x, predicted)
         finished = count >= self.n_total
         tel = self.telemetry
         if tel.enabled:

@@ -89,7 +89,8 @@ class ForgettingOSELM(OSELM):
         denom = a + float(h[0] @ Ph)
         k = Ph / denom
         err = t[0] - h[0] @ self.beta
-        self.beta += np.outer(k, err)
-        self.P -= np.outer(k, Ph)
+        kc = k[:, None]
+        self.beta += kc * err
+        self.P -= kc * Ph
         self.P /= a
         self._symmetrize()

@@ -173,19 +173,31 @@ class OSELM:
             )
         if not np.all(np.isfinite(t)):
             raise DataValidationError("target contains NaN or infinite values.")
-        self._rank1_update(h, t)
-        self.n_samples_seen += 1
+        self._step_hidden(h, t)
         return self
+
+    def _step_hidden(self, h: np.ndarray, t: np.ndarray) -> None:
+        """:meth:`partial_fit_hidden` without its checks.
+
+        For a fitted model and a target ``t`` already validated (finite,
+        ``n_outputs`` values, 1-D or one row) — the pipelines'
+        reconstruction validates each chunk once and then trains here.
+        """
+        self._rank1_update(h, t.reshape(1, -1))
+        self.n_samples_seen += 1
 
     def _rank1_update(self, h: np.ndarray, t: np.ndarray) -> None:
         """RLS rank-1 step with h a (1, n_hidden) row, t a (1, n_outputs) row."""
-        Ph = self.P @ h[0]                     # (n_hidden,)
-        denom = 1.0 + float(h[0] @ Ph)
+        h0 = h[0]
+        Ph = self.P @ h0                        # (n_hidden,)
+        denom = 1.0 + float(h0 @ Ph)
         k = Ph / denom                          # gain vector
-        err = t[0] - h[0] @ self.beta           # (n_outputs,)
-        self.beta += np.outer(k, err)
+        err = t[0] - h0 @ self.beta             # (n_outputs,)
+        # The products of np.outer(k, ·), without its wrapper.
+        kc = k[:, None]
+        self.beta += kc * err
         # P ← P − k (h P); h P == Ph because P is symmetric.
-        self.P -= np.outer(k, Ph)
+        self.P -= kc * Ph
         self._symmetrize()
 
     def _symmetrize(self) -> None:

@@ -54,10 +54,13 @@ class InjectedCrash(ReproError, RuntimeError):
 class crash_at:
     """Arm ``pipeline`` to raise :class:`InjectedCrash` at sample ``step``.
 
-    The hook wraps ``pipeline._record`` as an *instance* attribute, so it
-    fires just before the record for ``step`` would be produced — after
-    any earlier checkpoint was written, before the step's result exists.
-    Usable as a context manager (disarms on exit) or via :meth:`disarm`.
+    The hook wraps the pipeline's two record emitters, ``_record`` (one
+    record) and ``_record_rows`` (a block of predict/check records), as
+    *instance* attributes, so it fires just before the record for
+    ``step`` would be produced — after any earlier checkpoint was
+    written, before the step's result exists. A block that reaches
+    ``step`` emits the records before it and then raises. Usable as a
+    context manager (disarms on exit) or via :meth:`disarm`.
 
     Examples
     --------
@@ -67,26 +70,44 @@ class crash_at:
     InjectedCrash: ...
     """
 
+    _HOOKED = ("_record", "_record_rows")
+
     def __init__(self, pipeline, step: int) -> None:
         if step < 0:
             raise ValueError(f"step must be non-negative, got {step}")
         self.pipeline = pipeline
         self.step = int(step)
-        original = type(pipeline)._record
+        record = type(pipeline)._record
+        record_rows = type(pipeline)._record_rows
+
+        def crash():
+            return InjectedCrash(
+                f"injected crash at step {pipeline._index} "
+                f"(armed for step {self.step})"
+            )
 
         def hooked(*args, **kwargs):
             if pipeline._index >= self.step:
-                raise InjectedCrash(
-                    f"injected crash at step {pipeline._index} "
-                    f"(armed for step {self.step})"
-                )
-            return original(pipeline, *args, **kwargs)
+                raise crash()
+            return record(pipeline, *args, **kwargs)
+
+        def hooked_rows(labels, scores, ys, phases):
+            room = self.step - pipeline._index
+            if room >= len(labels):
+                return record_rows(pipeline, labels, scores, ys, phases)
+            if room > 0:
+                if not isinstance(phases, str):
+                    phases = phases[:room]
+                record_rows(pipeline, labels[:room], scores[:room], ys[:room], phases)
+            raise crash()
 
         pipeline.__dict__["_record"] = hooked
+        pipeline.__dict__["_record_rows"] = hooked_rows
 
     def disarm(self) -> None:
-        """Remove the hook; the pipeline behaves normally again."""
-        self.pipeline.__dict__.pop("_record", None)
+        """Remove the hooks; the pipeline behaves normally again."""
+        for name in self._HOOKED:
+            self.pipeline.__dict__.pop(name, None)
 
     def __enter__(self) -> "crash_at":
         return self

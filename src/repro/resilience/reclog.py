@@ -85,26 +85,24 @@ def remove_run_checkpoint(path: Union[str, Path]) -> None:
 
 
 def _encode_block(records: List[Any], start_index: int, epoch: int) -> bytes:
-    vocab: List[str] = []
-    seen = {}
+    vocab = {}  # phase -> code, in first-seen order
     pack = _REC.pack
     out = bytearray()
-    for r in records:
-        code = seen.get(r.phase)
+    # StepRecords are named tuples: unpacking beats eight attribute reads.
+    for index, predicted, tl, correct, score, drift, recon, phase in records:
+        code = vocab.get(phase)
         if code is None:
-            code = seen[r.phase] = len(vocab)
-            vocab.append(r.phase)
-        tl = r.true_label
+            code = vocab[phase] = len(vocab)
         out += pack(
-            r.index,
-            r.predicted,
+            index,
+            predicted,
             -1 if tl is None else tl,
-            -1 if r.correct is None else r.correct,
+            -1 if correct is None else correct,
             tl is None,
-            r.drift_detected,
-            r.reconstructing,
+            drift,
+            recon,
             code,
-            r.anomaly_score,
+            score,
         )
     head = bytearray(_BODY_HDR.pack(start_index, epoch, len(records)))
     head += _VOCAB_LEN.pack(len(vocab))
@@ -136,14 +134,14 @@ def _decode_body(body: memoryview) -> Tuple[int, int, List[Any]]:
         index, predicted, true_label, correct, true_none, drift, recon, code, score = tup
         records.append(
             StepRecord(
-                index=index,
-                predicted=predicted,
-                true_label=None if true_none else true_label,
-                correct=None if correct < 0 else bool(correct),
-                anomaly_score=score,
-                drift_detected=drift,
-                reconstructing=recon,
-                phase=vocab[code],
+                index,
+                predicted,
+                None if true_none else true_label,
+                None if correct < 0 else bool(correct),
+                score,
+                drift,
+                recon,
+                vocab[code],
             )
         )
     return int(start), int(epoch), records

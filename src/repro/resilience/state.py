@@ -162,29 +162,24 @@ def decode_records(encoded: Dict[str, Any]) -> List[Any]:
     from repro.core.pipeline import StepRecord  # lazy: avoid core <-> resilience cycle
 
     vocab = list(encoded["phase_vocab"])
-    index = encoded["index"]
-    predicted = encoded["predicted"]
-    true_label = encoded["true_label"]
-    true_none = encoded["true_none"]
-    correct = encoded["correct"]
-    anomaly_score = encoded["anomaly_score"]
-    drift = encoded["drift_detected"]
-    recon = encoded["reconstructing"]
-    codes = encoded["phase_codes"]
-
-    records = []
-    for i in range(len(index)):
-        c = int(correct[i])
-        records.append(
-            StepRecord(
-                index=int(index[i]),
-                predicted=int(predicted[i]),
-                true_label=None if bool(true_none[i]) else int(true_label[i]),
-                correct=None if c < 0 else bool(c),
-                anomaly_score=float(anomaly_score[i]),
-                drift_detected=bool(drift[i]),
-                reconstructing=bool(recon[i]),
-                phase=vocab[int(codes[i])],
-            )
+    columns = (
+        "index", "predicted", "true_label", "true_none", "correct",
+        "anomaly_score", "drift_detected", "reconstructing", "phase_codes",
+    )
+    # tolist() yields the same Python ints/bools/floats as per-element
+    # int()/bool()/float(), one C call per column.
+    rows = zip(*(np.asarray(encoded[name]).tolist() for name in columns))
+    records = [
+        StepRecord(
+            index,
+            predicted,
+            None if true_none else true_label,
+            None if correct < 0 else bool(correct),
+            score,
+            drift,
+            recon,
+            vocab[code],
         )
+        for index, predicted, true_label, true_none, correct, score, drift, recon, code in rows
+    ]
     return records

@@ -60,14 +60,22 @@ def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid (no overflow warnings)."""
+    """Numerically stable logistic sigmoid (no overflow warnings).
+
+    ``1 / (1 + exp(-x))`` for ``x >= 0`` and ``exp(x) / (1 + exp(x))``
+    otherwise, without masking: ``min(x, -x)`` is ``-x`` in the first
+    case and ``x`` in the second (and NaN keeps its own bits), so one
+    ``exp`` of it feeds both branches with the same operands and the
+    argument never exceeds 0.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    flat = x.reshape(-1)  # so a 0-d input still gets array temporaries
+    e = np.minimum(flat, -flat)
+    np.exp(e, out=e)
+    d = 1.0 + e
+    np.divide(e, d, out=e)    # the x < 0 branch
+    np.divide(1.0, d, out=d)  # the x >= 0 branch
+    return np.where(flat >= 0, d, e).reshape(x.shape)
 
 
 @dataclass

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.guard import FeatureBounds, InputSanitizer, POLICIES
 from repro.utils.exceptions import ConfigurationError
@@ -72,6 +75,35 @@ class TestFeatureBounds:
     def test_rejects_negative_margin(self, rng):
         with pytest.raises(ConfigurationError):
             FeatureBounds.from_data(rng.normal(size=(10, 2)), margin=-1.0)
+
+
+class TestContainsAllScreen:
+    """The whole-chunk screen's global min/max shortcut never changes the
+    verdict of the per-feature comparison."""
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda d: st.tuples(
+                hnp.arrays(np.float64, d, elements=st.floats(-5, 5)),
+                hnp.arrays(np.float64, d, elements=st.floats(0, 6)),
+                hnp.arrays(
+                    np.float64,
+                    st.tuples(st.integers(0, 8), st.just(d)),
+                    elements=st.one_of(
+                        st.floats(-12, 12),
+                        st.sampled_from([np.nan, np.inf, -np.inf]),
+                    ),
+                ),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_equals_per_feature_comparison(self, case):
+        lo, width, X = case
+        b = FeatureBounds(lo, lo + width)
+        with np.errstate(invalid="ignore"):
+            want = bool((X >= b.lo).all() and (X <= b.hi).all())
+        assert b.contains_all(X) is want
 
 
 class TestSanitizerCleanPath:

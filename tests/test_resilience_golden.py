@@ -29,6 +29,7 @@ from repro.core import (
 )
 from repro.datasets import NSLKDDConfig, make_cooling_fan_like, make_nslkdd_like
 from repro.detectors import DDM
+from repro.engine import Interceptor, StreamEngine, default_stack
 from repro.resilience import InjectedCrash, crash_at
 
 SEED = 3
@@ -248,3 +249,65 @@ def test_window_size_one_kill_resume_byte_identical(tmp_path):
             with crash_at(victim, kill):
                 victim.run(test, checkpoint_every=EVERY, checkpoint_path=ckpt)
         _assert_byte_identical(make().resume(test, ckpt), golden)
+
+
+class _ChunkLog(Interceptor):
+    """Records where each consumed chunk started and how long it was."""
+
+    def __init__(self) -> None:
+        self.chunks = []
+
+    def after_chunk(self, ctx, recs) -> None:
+        self.chunks.append((ctx.position - len(recs), len(recs)))
+
+
+def _mid_chunk_kills(method, train, test, every, tmp_path):
+    """One kill point in the middle of a predict/check (or ONLAD train)
+    chunk and one in the middle of a reconstruction chunk, if any.
+
+    The chunks are those of a checkpointed run at the pipeline's default
+    chunk size, so each kill lands strictly inside a chunk the victim
+    consumes in one call.
+    """
+    pipe = MAKERS[method](train)
+    log = _ChunkLog()
+    stack = default_stack(
+        pipe, pipe.default_chunk_size,
+        checkpoint_every=every, checkpoint_path=tmp_path / "layout.ckpt",
+    )
+    records = StreamEngine(pipe, test, stack + [log]).run()
+    kills = {}
+    for start, n in log.chunks:
+        if start < every or n < 3:
+            continue  # keep a checkpoint behind every kill
+        recs = records[start : start + n]
+        if all(not r.reconstructing for r in recs):
+            kills.setdefault("run", start + n // 2)
+        elif all(r.reconstructing and r.phase != "finish" for r in recs):
+            kills.setdefault("reconstruction", start + n // 2)
+    return kills
+
+
+@pytest.mark.parametrize("method", sorted(MAKERS))
+def test_crash_mid_chunk_kill_resume_byte_identical(method, tmp_path):
+    """crash_at fires inside a chunk — in a run of predict/check records
+    emitted as one block, and inside a reconstruction chunk — with no
+    record at or past the kill step produced, and resuming is golden."""
+    train, test = _streams("nslkdd")
+    golden = _golden(method, "nslkdd")
+    every = 50
+    kills = _mid_chunk_kills(method, train, test, every, tmp_path)
+    assert "run" in kills
+    if method not in ("baseline", "onlad"):
+        assert "reconstruction" in kills
+    for where, kill in sorted(kills.items()):
+        ckpt = tmp_path / f"{method}-{where}.ckpt"
+        victim = MAKERS[method](train)
+        with pytest.raises(InjectedCrash):
+            with crash_at(victim, kill):
+                victim.run(test, checkpoint_every=every, checkpoint_path=ckpt)
+        assert victim._index == kill, where
+        survivor = MAKERS[method](train)
+        resumed = survivor.resume(test, ckpt)
+        assert survivor.last_resumed_at <= kill
+        _assert_byte_identical(resumed, golden)

@@ -471,3 +471,73 @@ class TestServerConnections:
         assert not [r for r in caplog.records if r.name == "asyncio"]
         assert not unraisable
         assert not server._clients
+
+
+class TestMalformedChunkBodies:
+    """A chunk body the core cannot take is a client error: 400, and the
+    keep-alive connection stays usable (503 is reserved for the ladder)."""
+
+    @staticmethod
+    def _post_then_get(server, body: bytes) -> tuple:
+        """POST ``body`` then GET /metrics on one connection; both heads."""
+        heads = []
+        with socket.create_connection((server.host, server.port), timeout=5) as s:
+            for raw in (
+                b"POST /v1/devices/dev0/chunks HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % len(body) + body,
+                b"GET /metrics HTTP/1.1\r\n\r\n",
+            ):
+                s.sendall(raw)
+                reply = b""
+                while b"\r\n\r\n" not in reply:
+                    data = s.recv(4096)
+                    assert data, "connection closed before a reply"
+                    reply += data
+                head, _, rest = reply.partition(b"\r\n\r\n")
+                length = int(
+                    [h for h in head.split(b"\r\n")
+                     if h.lower().startswith(b"content-length")][0].split(b":")[1]
+                )
+                while len(rest) < length:
+                    rest += s.recv(4096)
+                heads.append((head, rest[:length]))
+        return heads
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"seq": 0, "X": [[1.0, 2.0], [3.0]], "y": [0, 0]}',    # ragged
+            b'{"seq": 0, "X": [["a", "b"]], "y": [0]}',               # non-numeric
+            b'{"seq": 0, "X": 5, "y": [0]}',                          # not 2-D
+            b'{"seq": 0, "X": [1.0, 2.0], "y": [0, 0]}',              # 1-D
+            b'{"seq": 0, "X": [[1.0, 2.0], [3.0, 4.0]], "y": [0]}',   # length mismatch
+            b'{"seq": 0, "X": [[1.0, 2.0]], "y": 0}',                 # scalar y
+        ],
+    )
+    def test_malformed_chunk_answers_400_and_keeps_connection(self, body, tmp_path, caplog):
+        fm = FleetManager(capacity=2, spool_dir=tmp_path)
+        core = IngestCore(fm)
+        core.register("dev0", _spec(7))
+        server = IngestServer(core).start()
+        try:
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                (post, reply), (metrics, _) = self._post_then_get(server, body)
+        finally:
+            server.stop()
+            fm.close()
+        assert post.startswith(b"HTTP/1.1 400 "), post
+        assert b"malformed chunk body" in reply
+        assert b"Connection: close" not in post
+        assert metrics.startswith(b"HTTP/1.1 200 ")
+        assert core.pending()["admitted"] == 0
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    def test_core_offer_refuses_unparseable_chunks_without_raising(self, tmp_path):
+        core = IngestCore(FleetManager(capacity=2, spool_dir=tmp_path))
+        core.register("dev0", _spec(7))
+        with core:
+            for X, y in (([[1.0, 2.0], [3.0]], [0, 0]), ([["a"]], [0]), ([[1.0]], 0)):
+                offer = core.offer("dev0", 0, X, y)
+                assert offer.status is OfferStatus.REJECTED
+                assert "malformed" in offer.detail
+            core.stop()
