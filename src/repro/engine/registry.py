@@ -1,9 +1,9 @@
 """String-keyed registries for pipelines, datasets, and detectors.
 
 The declarative layer's name space: an :class:`~repro.engine.spec.ExperimentSpec`
-(or a legacy ``CellSpec``) names its pipeline builder and dataset factory
-by key, and workers/CLI/benchmarks resolve the key here. Registration is
-either a decorator::
+names its pipeline builder and dataset factory by key, and
+workers/CLI/benchmarks resolve the key here. Registration is either a
+decorator::
 
     from repro.engine import register_pipeline
 
@@ -15,8 +15,7 @@ or a direct call (``register_pipeline("proposed", build_proposed)``).
 Any key not found in a registry falls back to a ``"module:callable"``
 import path, so one-off builders never *have* to be registered.
 
-The registries are plain module-level dicts on purpose: tests (and the
-legacy :data:`repro.metrics.parallel.METHOD_BUILDERS` alias) monkeypatch
+The registries are plain module-level dicts on purpose: tests monkeypatch
 entries in place, and worker processes re-import this module and get the
 same built-in population.
 

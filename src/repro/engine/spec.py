@@ -120,24 +120,6 @@ class ExperimentSpec:
     chunk_size: Optional[int] = None
     guard_policy: Optional[str] = None
 
-    # -- legacy aliases (the pre-registry CellSpec vocabulary) ---------------
-
-    @property
-    def method(self) -> str:
-        return self.pipeline
-
-    @property
-    def stream(self) -> str:
-        return self.dataset
-
-    @property
-    def method_kwargs(self) -> Mapping[str, Any]:
-        return self.pipeline_kwargs
-
-    @property
-    def stream_kwargs(self) -> Mapping[str, Any]:
-        return self.dataset_kwargs
-
     # -- identity ------------------------------------------------------------
 
     @property

@@ -8,9 +8,13 @@ process (or a shard pool of them) on top of the engine's
   memory is bounded by ``capacity``; cold sessions spill to
   :mod:`repro.resilience` checkpoints and restore lazily,
   byte-identically.
+* :class:`ShardPool` — the package's one process pool: long-lived
+  workers with a submit/collect protocol, per-request deadlines and
+  terminate -> kill -> respawn of a hung or dead worker.
+  :class:`~repro.metrics.parallel.ParallelRunner` runs experiment-grid
+  cells on it too.
 * :class:`ShardedFleetManager` — the same fleet partitioned over
-  long-lived worker processes via
-  :class:`~repro.metrics.parallel.ShardPool`.
+  long-lived :class:`ShardPool` workers.
 * :func:`run_fleet_soak` — the seeded N-device churn harness that
   doubles as the fleet benchmark (``benchmarks/bench_fleet.py``).
 
@@ -20,6 +24,14 @@ See ``docs/fleet.md``.
 from .batching import BatchGroup, BatchPlanner, model_signature
 from .chaos import ChaosController, ChaosEvent, make_chaos_schedule
 from .manager import FleetManager, FleetStats
+from .pool import (
+    SHARD_RESTARTED,
+    TELEMETRY_FLUSH,
+    ShardDiedError,
+    ShardError,
+    ShardPool,
+    ShardTimeoutError,
+)
 from .sharding import ShardedFleetManager, shard_of
 from .soak import SoakReport, make_fleet_specs, run_fleet_soak, verify_device
 from .supervisor import FleetSupervisor, JournalEntry, SupervisorConfig
@@ -33,6 +45,12 @@ __all__ = [
     "make_chaos_schedule",
     "FleetManager",
     "FleetStats",
+    "SHARD_RESTARTED",
+    "TELEMETRY_FLUSH",
+    "ShardDiedError",
+    "ShardError",
+    "ShardPool",
+    "ShardTimeoutError",
     "FleetSupervisor",
     "JournalEntry",
     "SupervisorConfig",

@@ -2,7 +2,7 @@
 
 One :class:`~repro.fleet.manager.FleetManager` is single-threaded; a
 :class:`ShardedFleetManager` partitions the device space over a
-:class:`~repro.metrics.parallel.ShardPool` of worker processes, each
+:class:`~repro.fleet.pool.ShardPool` of worker processes, each
 hosting its own manager (own LRU, own spool subdirectory). Devices map
 to shards by a *stable* hash of their id — ``hashlib`` based, because
 Python's builtin ``hash`` is salted per process and would scatter a
@@ -34,13 +34,6 @@ import numpy as np
 
 from ..engine.spec import ExperimentSpec
 from ..guard.ladder import GuardLevel, Transition
-from ..metrics.parallel import (
-    SHARD_RESTARTED,
-    ShardDiedError,
-    ShardError,
-    ShardPool,
-    ShardTimeoutError,
-)
 from ..utils.exceptions import (
     ConfigurationError,
     DeviceQuarantinedError,
@@ -48,6 +41,13 @@ from ..utils.exceptions import (
 )
 from ..utils.hooks import default_telemetry
 from .manager import FleetManager, FleetStats
+from .pool import (
+    SHARD_RESTARTED,
+    ShardDiedError,
+    ShardError,
+    ShardPool,
+    ShardTimeoutError,
+)
 from .supervisor import FleetSupervisor, JournalEntry, SupervisorConfig
 
 __all__ = ["ShardedFleetManager", "shard_of"]
@@ -68,7 +68,7 @@ class _ShardHost:
     When the parent's hub was live at pool construction, the worker's own
     default hub is enabled too — everything the shard's pipelines record
     then flows back to the parent as snapshot deltas on the pool's
-    collect path (see :class:`~repro.metrics.parallel.ShardPool`).
+    collect path (see :class:`~repro.fleet.pool.ShardPool`).
     """
 
     def __init__(
@@ -432,7 +432,7 @@ class ShardedFleetManager:
         failures struck against the offending device.
 
         The unsupervised path collects via
-        :meth:`~repro.metrics.parallel.ShardPool.collect_any`, so one
+        :meth:`~repro.fleet.pool.ShardPool.collect_any`, so one
         slow shard no longer blocks folding the replies other shards
         already produced (supervised collection stays per-ticket FIFO —
         recovery attribution needs the oldest outstanding request

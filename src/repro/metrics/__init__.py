@@ -11,13 +11,8 @@ from .drift_eval import DriftEvaluation, evaluate_detections
 from .delay import DelayReport, delay_report, detection_delay, detection_indices
 from .parallel import (
     CellResult,
-    CellSpec,
     ParallelExecutionError,
     ParallelRunner,
-    ShardDiedError,
-    ShardError,
-    ShardPool,
-    ShardTimeoutError,
     make_grid,
     run_cell,
 )
@@ -41,14 +36,9 @@ __all__ = [
     "MethodResult",
     "evaluate_method",
     "compare_methods",
-    "CellSpec",
     "CellResult",
     "ParallelRunner",
     "ParallelExecutionError",
-    "ShardPool",
-    "ShardError",
-    "ShardDiedError",
-    "ShardTimeoutError",
     "make_grid",
     "run_cell",
     "format_table",

@@ -2,8 +2,9 @@
 
 The paper's tables are grids: every method configuration replayed over
 every stream for one or more seeds. :func:`~repro.metrics.runner.compare_methods`
-runs such a grid serially in-process; this module fans the cells across a
-:class:`concurrent.futures.ProcessPoolExecutor` instead, with
+runs such a grid serially in-process; this module fans the cells across
+the worker processes of a :class:`~repro.fleet.pool.ShardPool` instead,
+with
 
 * **declarative cells** — each cell is an
   :class:`~repro.engine.spec.ExperimentSpec` naming a registered
@@ -14,8 +15,11 @@ runs such a grid serially in-process; this module fans the cells across a
   (unless ``model_seed`` overrides it) and to the stream factory unless
   its kwargs pin one, so results are a pure function of the spec and
   identical for any ``max_workers``;
-* **timeout/retry** — a cell that raises, times out, or loses its worker
-  process is retried on a fresh pool up to ``retries`` times;
+* **timeout/retry** — each worker runs one cell at a time, so
+  ``timeout`` measures a cell from dispatch. A cell that raises, runs
+  past its deadline (its worker is killed and respawned), or loses its
+  worker fails on its own and is retried in a later wave, up to
+  ``retries`` times; the other cells of the wave are unaffected;
 * **an on-disk JSON result cache** keyed by
   :meth:`~repro.engine.spec.ExperimentSpec.config_hash` — re-running a
   grid only computes the cells that changed, and any cell is
@@ -25,9 +29,6 @@ Results come back as :class:`CellResult` — a JSON round-trippable summary
 (accuracy, delays, phase tally, memory, wall-clock) that can optionally
 carry the full per-sample records and rebuild a
 :class:`~repro.metrics.runner.MethodResult` for downstream tooling.
-
-:func:`CellSpec` remains as a constructor accepting the legacy
-``method=``/``stream=`` vocabulary; it returns an ``ExperimentSpec``.
 
 Example
 -------
@@ -44,11 +45,9 @@ Example
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
-from multiprocessing import connection as mp_connection
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -57,9 +56,7 @@ import numpy as np
 
 from ..core.pipeline import StepRecord
 from ..device.timing import PhaseTally
-from ..engine.registry import DATASET_FACTORIES, PIPELINE_BUILDERS
 from ..engine.spec import (
-    SPEC_VERSION,
     ExperimentSpec,
     build_experiment,
     canonical_json,
@@ -72,27 +69,12 @@ from .delay import delay_report
 from .runner import MethodResult, evaluate_method
 
 __all__ = [
-    "CellSpec",
     "CellResult",
     "ParallelRunner",
     "ParallelExecutionError",
-    "ShardPool",
-    "ShardError",
     "make_grid",
     "run_cell",
-    "METHOD_BUILDERS",
-    "STREAM_FACTORIES",
 ]
-
-#: Cache-layout version — tracks the canonical spec layout (see
-#: :data:`repro.engine.spec.SPEC_VERSION`); stale cache files are ignored.
-_CACHE_VERSION = SPEC_VERSION
-
-#: Legacy aliases — the *same live dicts* as the engine registries, so
-#: ``monkeypatch.setitem(METHOD_BUILDERS, ...)`` is seen by resolution.
-METHOD_BUILDERS = PIPELINE_BUILDERS
-STREAM_FACTORIES = DATASET_FACTORIES
-
 
 def _package_version() -> str:
     """The installed ``repro.__version__`` (imported lazily: the package
@@ -107,40 +89,8 @@ class ParallelExecutionError(RuntimeError):
 
 
 # --------------------------------------------------------------------------
-# Cell specification and result
+# Cell result
 # --------------------------------------------------------------------------
-
-def CellSpec(
-    name: str,
-    method: Optional[str] = None,
-    stream: Optional[str] = None,
-    seed: int = 0,
-    method_kwargs: Optional[Mapping[str, Any]] = None,
-    stream_kwargs: Optional[Mapping[str, Any]] = None,
-    n_test: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    **spec_kwargs,
-) -> ExperimentSpec:
-    """Legacy constructor: ``method``/``stream`` vocabulary → :class:`ExperimentSpec`.
-
-    Kept so existing call sites (and muscle memory) keep working; new
-    code should construct :class:`~repro.engine.spec.ExperimentSpec`
-    directly with the ``pipeline``/``dataset`` field names.
-    """
-    if method is None or stream is None:
-        raise ConfigurationError("CellSpec needs both method= and stream=.")
-    return ExperimentSpec(
-        name=name,
-        pipeline=method,
-        dataset=stream,
-        seed=int(seed),
-        pipeline_kwargs=dict(method_kwargs or {}),
-        dataset_kwargs=dict(stream_kwargs or {}),
-        n_test=n_test,
-        chunk_size=chunk_size,
-        **spec_kwargs,
-    )
-
 
 _RECORD_FIELDS = (
     "index", "predicted", "true_label", "correct",
@@ -225,7 +175,7 @@ class CellResult:
 
 
 # --------------------------------------------------------------------------
-# Worker entry point (module-level: must be picklable for the process pool)
+# Worker entry points (module-level: workers re-import them by name)
 # --------------------------------------------------------------------------
 
 def run_cell(
@@ -278,32 +228,44 @@ def run_cell(
     )
 
 
-def _run_cell_job(
-    args: Tuple[ExperimentSpec, bool, Optional[str], Optional[int], bool],
-) -> CellResult:
-    spec, keep_records, checkpoint_path, checkpoint_every, collect_telemetry = args
-    tel = get_telemetry()
-    was_enabled = tel.enabled
-    if collect_telemetry:
-        # The parent hub is live: enable this worker's hub for the cell and
-        # reset the delta baseline so a reused pool process ships only what
-        # *this* cell recorded.
-        tel.enabled = True
-        tel.snapshot_delta()
-    try:
-        result = run_cell(
-            spec,
-            keep_records=keep_records,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-        )
+class _CellHost:
+    """Stateless :class:`~repro.fleet.pool.ShardPool` host: one grid cell per call."""
+
+    def __init__(self, shard_index: int) -> None:
+        # A forked worker inherits the parent's hub. Keep it off between
+        # cells, so the pool's close-time flush ships nothing and only the
+        # per-cell deltas on CellResult.telemetry reach the parent.
+        get_telemetry().enabled = False
+
+    def run_cell_job(
+        self,
+        spec: ExperimentSpec,
+        keep_records: bool,
+        checkpoint_path: Optional[Path],
+        checkpoint_every: Optional[int],
+        collect_telemetry: bool,
+    ) -> CellResult:
+        tel = get_telemetry()
         if collect_telemetry:
-            delta = tel.snapshot_delta()
-            if not delta.is_empty():
-                result.telemetry = delta.to_json()
-        return result
-    finally:
-        tel.enabled = was_enabled
+            # The parent hub is live: enable this worker's hub for the cell and
+            # reset the delta baseline so a reused worker process ships only
+            # what *this* cell recorded.
+            tel.enabled = True
+            tel.snapshot_delta()
+        try:
+            result = run_cell(
+                spec,
+                keep_records=keep_records,
+                checkpoint_path=checkpoint_path,
+                checkpoint_every=checkpoint_every,
+            )
+            if collect_telemetry:
+                delta = tel.snapshot_delta()
+                if not delta.is_empty():
+                    result.telemetry = delta.to_json()
+            return result
+        finally:
+            tel.enabled = False
 
 
 # --------------------------------------------------------------------------
@@ -323,11 +285,13 @@ class ParallelRunner:
         pool) — handy for debugging and exact single-process semantics;
         ``None`` uses ``os.cpu_count()``.
     timeout:
-        Per-cell wall-clock limit in seconds (``None`` = unlimited). A
-        timed-out cell counts as a failure and is retried.
+        Per-cell wall-clock limit in seconds, counted from the moment the
+        cell is handed to a worker (``None`` = unlimited). A timed-out
+        cell's worker is killed and replaced; the cell counts as a failure
+        and is retried in a later wave.
     retries:
-        How many *extra* attempts a failing cell gets (on a fresh pool)
-        before :class:`ParallelExecutionError` is raised.
+        How many *extra* attempts a failing cell gets (one per later
+        wave) before :class:`ParallelExecutionError` is raised.
     keep_records:
         Store per-sample records in results (and in the cache) so
         :meth:`CellResult.to_method_result` can rebuild full results.
@@ -529,6 +493,7 @@ class ParallelRunner:
                     "cell_failed", name=cells[i].name, attempt=attempt, error=reason
                 )
 
+        ckpt_every = self.checkpoint_every if self.checkpoint_dir is not None else None
         workers = os.cpu_count() or 1 if self.max_workers is None else self.max_workers
         if workers <= 1:
             # Inline mode: exact single-process semantics, no pool. Timeouts
@@ -536,545 +501,67 @@ class ParallelRunner:
             for i in pending:
                 tel.emit("cell_started", name=cells[i].name, attempt=attempt)
                 try:
-                    ckpt = self._checkpoint_path(cells[i])
-                    record(
-                        i,
-                        run_cell(
-                            cells[i],
-                            keep_records=self.keep_records,
-                            checkpoint_path=ckpt,
-                            checkpoint_every=(
-                                self.checkpoint_every if ckpt is not None else None
-                            ),
-                        ),
+                    result = run_cell(
+                        cells[i],
+                        keep_records=self.keep_records,
+                        checkpoint_path=self._checkpoint_path(cells[i]),
+                        checkpoint_every=ckpt_every,
                     )
+                    record(i, result)
                 except Exception as exc:  # noqa: BLE001 — isolate per cell
                     failed(i, f"{type(exc).__name__}: {exc}")
             return failures, errors
 
-        executor = ProcessPoolExecutor(max_workers=workers)
+        from ..fleet.pool import ShardDiedError, ShardError, ShardPool, ShardTimeoutError
+
+        queue = deque(pending)
+        idle = deque(range(min(workers, len(pending))))
+        running: Dict[int, Tuple[int, int, float]] = {}  # ticket -> (cell, shard, deadline)
+
+        def free(ticket: int) -> int:
+            i, shard, _ = running.pop(ticket)
+            idle.append(shard)
+            return i
+
+        # telemetry_every=None: a cell's worker metrics come back once, on
+        # CellResult.telemetry, and record() merges them — never twice.
+        pool = ShardPool(
+            len(idle), _CellHost, telemetry_every=None, request_timeout=self.timeout
+        )
         try:
-            futures = {
-                i: executor.submit(
-                    _run_cell_job,
-                    (
-                        cells[i],
-                        self.keep_records,
-                        (
-                            str(self._checkpoint_path(cells[i]))
-                            if self.checkpoint_dir is not None
-                            else None
-                        ),
-                        (
-                            self.checkpoint_every
-                            if self.checkpoint_dir is not None
-                            else None
-                        ),
-                        tel.enabled,
-                    ),
-                )
-                for i in pending
-            }
-            for i in pending:
-                tel.emit("cell_started", name=cells[i].name, attempt=attempt)
-            broken = False
-            for i, fut in futures.items():
-                if broken:
-                    failures.append(i)
-                    errors.setdefault(i, "process pool broke earlier this wave")
-                    continue
+            while queue or running:
+                while queue and idle:  # one cell per worker: timeouts start here
+                    i, shard = queue.popleft(), idle.popleft()
+                    ticket = pool.submit(
+                        shard, "run_cell_job", cells[i], self.keep_records,
+                        self._checkpoint_path(cells[i]), ckpt_every, tel.enabled,
+                    )
+                    tel.emit("cell_started", name=cells[i].name, attempt=attempt)
+                    running[ticket] = (i, shard, time.monotonic() + (self.timeout or 0))
+                wait = None
+                if self.timeout is not None:
+                    first = min(deadline for _, _, deadline in running.values())
+                    wait = max(0.0, first - time.monotonic())
                 try:
-                    record(i, fut.result(timeout=self.timeout))
-                except FutureTimeout:
-                    failed(i, f"timed out after {self.timeout}s", timeout=True)
-                except Exception as exc:  # noqa: BLE001 — worker died or raised
-                    failed(i, f"{type(exc).__name__}: {exc}")
-                    if type(exc).__name__ == "BrokenProcessPool":
-                        broken = True
+                    ticket, result = pool.collect_any(running, timeout=wait)
+                except ShardTimeoutError:
+                    now = time.monotonic()
+                    for ticket, (_, shard, deadline) in list(running.items()):
+                        if deadline <= now:  # kill the worker; a fresh one replaces it
+                            pool.restart_shard(shard)
+                            reason = f"timed out after {self.timeout}s"
+                            failed(free(ticket), reason, timeout=True)
+                except ShardDiedError as exc:
+                    (ticket,) = [t for t, (_, s, _) in running.items() if s == exc.shard]
+                    pool.restart_shard(exc.shard)
+                    failed(free(ticket), f"{type(exc).__name__}: {exc}")
+                except ShardError as exc:  # the cell raised; its worker is fine
+                    failed(free(exc.ticket), str(exc))
+                else:
+                    record(free(ticket), result)
         finally:
-            executor.shutdown(wait=False, cancel_futures=True)
+            pool.close()
         return failures, errors
-
-
-# --------------------------------------------------------------------------
-# Long-lived shards — the stateful counterpart of the one-shot wave pool
-# --------------------------------------------------------------------------
-
-
-class ShardError(RuntimeError):
-    """A shard worker raised (or died) while serving a request.
-
-    Carries ``ticket`` (the request it belongs to, when known) and
-    ``shard`` (the worker it came from, when known) so multi-ticket
-    collectors — :meth:`ShardPool.collect_any` callers — can attribute a
-    failure without parsing the message.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        ticket: Optional[int] = None,
-        shard: Optional[int] = None,
-    ) -> None:
-        super().__init__(message)
-        self.ticket = ticket
-        self.shard = shard
-
-
-class ShardDiedError(ShardError):
-    """The shard's worker process is gone (pipe broken or EOF).
-
-    Distinct from a request-level :class:`ShardError` (worker alive, the
-    request raised) so supervisors can dispatch on the exception type
-    instead of racing ``Process.is_alive`` against SIGKILL delivery.
-    """
-
-
-class ShardTimeoutError(ShardError):
-    """A shard worker gave no reply within the per-request deadline.
-
-    The ticket stays outstanding: the worker may be slow rather than
-    stuck, so the caller decides — wait again, or escalate with
-    :meth:`ShardPool.restart_shard` (which fails the shard's outstanding
-    tickets and respawns the process).
-    """
-
-
-#: Reserved ShardPool method name: flush the worker hub's telemetry delta.
-TELEMETRY_FLUSH = "__telemetry__"
-
-#: Payload prefix marking tickets failed by :meth:`ShardPool.restart_shard`
-#: (not by the request itself) — supervisors match on it to tell "your
-#: request was collateral of a restart" from a real worker-side error.
-SHARD_RESTARTED = "__shard_restarted__"
-
-
-def _stop_process(proc, *, grace: float = 1.0, kill_grace: float = 5.0) -> str:
-    """Stop a worker with terminate -> kill escalation; returns the outcome.
-
-    ``terminate`` (SIGTERM) handles the common stuck worker; a worker
-    that ignores SIGTERM (masked signal, wedged in native code) is
-    escalated to ``kill`` (SIGKILL) after ``grace`` seconds. Returns
-    ``"dead"`` (was already gone), ``"terminated"``, or ``"killed"``.
-    """
-    if not proc.is_alive():
-        proc.join(timeout=0)
-        return "dead"
-    proc.terminate()
-    proc.join(timeout=grace)
-    if not proc.is_alive():
-        return "terminated"
-    proc.kill()
-    proc.join(timeout=kill_grace)
-    return "killed"
-
-
-def _shard_worker(conn, factory, factory_args, telemetry_every) -> None:
-    """Worker-process loop: build the host once, serve requests FIFO.
-
-    Protocol: the parent sends ``(ticket, method, args, kwargs)`` tuples
-    and eventually ``None`` (shutdown); each request is answered with
-    ``(ticket, ok, payload, telemetry)`` where ``payload`` is the method's
-    return value (``ok=True``) or a one-line error description
-    (``ok=False`` — exceptions never cross the pipe, so an unpicklable
-    error cannot wedge the shard).
-
-    ``telemetry`` is usually ``None``; every ``telemetry_every`` requests
-    (and on the reserved ``TELEMETRY_FLUSH`` method) it carries this
-    worker hub's :class:`TelemetrySnapshot` delta as plain data, so the
-    parent aggregates worker metrics *on the collect path* with no extra
-    round trips. Without this, everything the shard's pipelines record
-    lands on the worker's own hub and silently dies with the process.
-    """
-    host = factory(*factory_args)
-    served = 0
-
-    def delta() -> Optional[dict]:
-        tel = get_telemetry()
-        if not tel.enabled:
-            return None
-        snap = tel.snapshot_delta()
-        return None if snap.is_empty() else snap.to_json()
-
-    try:
-        while True:
-            msg = conn.recv()
-            if msg is None:
-                return
-            ticket, method, args, kwargs = msg
-            if method == TELEMETRY_FLUSH:
-                conn.send((ticket, True, None, delta()))
-                continue
-            served += 1
-            piggyback = (
-                delta()
-                if telemetry_every is not None and served % telemetry_every == 0
-                else None
-            )
-            try:
-                result = getattr(host, method)(*args, **kwargs)
-            except BaseException as exc:  # noqa: BLE001 — ship, don't die
-                conn.send((ticket, False, f"{type(exc).__name__}: {exc}", piggyback))
-            else:
-                conn.send((ticket, True, result, piggyback))
-    finally:
-        closer = getattr(host, "close", None)
-        if callable(closer):
-            try:
-                closer()
-            except Exception:
-                pass
-        conn.close()
-
-
-class ShardPool:
-    """Long-lived worker processes with a **submit/collect** protocol.
-
-    The wave pool above (:class:`ParallelRunner`) is one-shot: a grid
-    cell ships its whole job to a worker, runs, and the worker forgets
-    it. Fleet-scale session multiplexing needs the opposite — workers
-    that *keep state resident* between calls (each shard hosts the live
-    sessions of its slice of a device fleet). A :class:`ShardPool`
-    starts ``n_shards`` processes, builds one **host object** per shard
-    via ``factory(shard_index, *factory_args)`` (a module-level,
-    picklable callable), and then serves method calls on that host:
-
-    >>> pool = ShardPool(4, my_module.make_host)          # doctest: +SKIP
-    >>> t = pool.submit(2, "ingest", device_id, chunk)    # doctest: +SKIP
-    >>> pool.collect(t)                                   # doctest: +SKIP
-
-    ``submit`` is non-blocking (requests pipeline per shard, FIFO);
-    ``collect`` blocks until that ticket's reply arrives, buffering any
-    replies it drains for other tickets. :meth:`call` is the synchronous
-    convenience, :meth:`broadcast` fans one call over every shard.
-
-    A request that raises in the worker surfaces as :class:`ShardError`
-    at its ``collect`` — other requests (and other shards) are
-    unaffected. A dead shard process also raises :class:`ShardError`.
-
-    When the parent hub is live, each worker piggybacks a telemetry
-    snapshot delta on every ``telemetry_every``-th reply; the pool merges
-    it into the parent hub with a ``shard`` label as the reply is
-    collected, and :meth:`flush_telemetry` (called automatically by
-    :meth:`close`) pulls whatever is still outstanding — so worker-side
-    metrics are aggregated losslessly instead of dying with the workers.
-    """
-
-    def __init__(
-        self,
-        n_shards: int,
-        factory,
-        *,
-        factory_args: tuple = (),
-        telemetry_every: Optional[int] = 64,
-        request_timeout: Optional[float] = None,
-    ) -> None:
-        if int(n_shards) < 1:
-            raise ConfigurationError(f"n_shards must be >= 1, got {n_shards!r}.")
-        if telemetry_every is not None and int(telemetry_every) < 1:
-            raise ConfigurationError(
-                f"telemetry_every must be >= 1 or None, got {telemetry_every!r}."
-            )
-        if request_timeout is not None and float(request_timeout) <= 0:
-            raise ConfigurationError(
-                f"request_timeout must be positive or None, got {request_timeout!r}."
-            )
-        self._ctx = multiprocessing.get_context()
-        self._factory = factory
-        self._factory_args = tuple(factory_args)
-        self._conns = []
-        self._procs = []
-        self.telemetry_every = (
-            int(telemetry_every) if telemetry_every is not None else None
-        )
-        #: default deadline (seconds) applied by :meth:`collect` when no
-        #: per-call ``timeout`` is given; ``None`` = wait forever.
-        self.request_timeout = (
-            float(request_timeout) if request_timeout is not None else None
-        )
-        #: parent-side hub worker deltas are merged into.
-        self.telemetry: Telemetry = get_telemetry()
-        for shard in range(int(n_shards)):
-            parent, proc = self._spawn(shard)
-            self._conns.append(parent)
-            self._procs.append(proc)
-        self._next_ticket = 0
-        self._shard_of: Dict[int, int] = {}
-        self._replies: Dict[int, Tuple[bool, Any]] = {}
-        self._closed = False
-
-    def _spawn(self, shard: int):
-        parent, child = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_shard_worker,
-            args=(
-                child,
-                self._factory,
-                (shard, *self._factory_args),
-                self.telemetry_every,
-            ),
-            daemon=True,
-            name=f"repro-shard-{shard}",
-        )
-        proc.start()
-        child.close()
-        return parent, proc
-
-    @property
-    def n_shards(self) -> int:
-        return len(self._procs)
-
-    def shard_alive(self, shard: int) -> bool:
-        """Whether ``shard``'s worker process is currently running."""
-        return self._procs[int(shard)].is_alive()
-
-    def worker_pid(self, shard: int) -> Optional[int]:
-        """OS pid of ``shard``'s worker (chaos harnesses target this)."""
-        return self._procs[int(shard)].pid
-
-    def submit(self, shard: int, method: str, *args, **kwargs) -> int:
-        """Queue ``host.method(*args, **kwargs)`` on ``shard``; returns a ticket."""
-        if self._closed:
-            raise ConfigurationError("ShardPool is closed.")
-        if not 0 <= int(shard) < len(self._conns):
-            raise ConfigurationError(
-                f"shard {shard} out of range (pool has {len(self._conns)})."
-            )
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        self._shard_of[ticket] = int(shard)
-        try:
-            self._conns[shard].send((ticket, method, args, kwargs))
-        except (BrokenPipeError, OSError) as exc:
-            self._shard_of.pop(ticket, None)
-            raise ShardDiedError(f"shard {shard} is dead: {exc}") from exc
-        return ticket
-
-    #: collect() sentinel: "use the pool's default request_timeout".
-    _POOL_DEFAULT = object()
-
-    def collect(self, ticket: int, *, timeout: Any = _POOL_DEFAULT) -> Any:
-        """Block until ``ticket``'s reply arrives; return (or raise) it.
-
-        ``timeout`` (seconds) bounds the wait: when no reply lands within
-        the deadline a :class:`ShardTimeoutError` is raised and the
-        ticket stays outstanding (collect again, or escalate via
-        :meth:`restart_shard`). Defaults to the pool's
-        ``request_timeout``; pass ``None`` to wait forever.
-        """
-        if timeout is ShardPool._POOL_DEFAULT:
-            timeout = self.request_timeout
-        if ticket not in self._replies and ticket not in self._shard_of:
-            raise ConfigurationError(f"unknown or already-collected ticket {ticket}.")
-        shard = self._shard_of.get(ticket)
-        deadline = None if timeout is None else time.monotonic() + float(timeout)
-        while ticket not in self._replies:
-            conn = self._conns[shard]
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not conn.poll(remaining):
-                    raise ShardTimeoutError(
-                        f"shard {shard} gave no reply for ticket {ticket} "
-                        f"within {float(timeout):g}s.",
-                        ticket=ticket,
-                        shard=shard,
-                    )
-            try:
-                t, ok, payload, tel_delta = conn.recv()
-            except (EOFError, OSError) as exc:
-                raise ShardDiedError(
-                    f"shard {shard} died with {len(self._shard_of)} "
-                    "request(s) outstanding.",
-                    ticket=ticket,
-                    shard=shard,
-                ) from exc
-            if tel_delta is not None and self.telemetry.enabled:
-                self.telemetry.merge(tel_delta, extra_labels={"shard": shard})
-            self._replies[t] = (ok, payload)
-            self._shard_of.pop(t, None)
-        ok, payload = self._replies.pop(ticket)
-        if not ok:
-            raise ShardError(
-                f"shard request failed: {payload}", ticket=ticket, shard=shard
-            )
-        return payload
-
-    def collect_any(
-        self,
-        tickets: Optional[Iterable[int]] = None,
-        *,
-        timeout: Any = _POOL_DEFAULT,
-    ) -> Tuple[int, Any]:
-        """Block until *any* wanted ticket's reply is ready; return it.
-
-        ``tickets`` restricts the wait to those tickets (default: every
-        outstanding or buffered ticket). Returns ``(ticket, payload)``
-        for the lowest-numbered ready ticket — deterministic when
-        several replies are already buffered. Unlike :meth:`collect`,
-        the wait multiplexes over **all** shards that still owe a wanted
-        reply (``multiprocessing.connection.wait``), so one slow shard
-        cannot stall results that other shards already produced — the
-        head-of-line fix the fleet drain and the serving dispatcher
-        build on.
-
-        A failed request raises :class:`ShardError` with ``.ticket``
-        set (that ticket is consumed; the rest stay collectable). A
-        dead worker raises :class:`ShardDiedError` with ``.shard`` set
-        and leaves its tickets outstanding for the caller to recover
-        (e.g. via :meth:`restart_shard`).
-        """
-        if timeout is ShardPool._POOL_DEFAULT:
-            timeout = self.request_timeout
-        wanted: Optional[set] = None
-        if tickets is not None:
-            wanted = {int(t) for t in tickets}
-            unknown = [
-                t
-                for t in wanted
-                if t not in self._replies and t not in self._shard_of
-            ]
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown or already-collected ticket(s) {sorted(unknown)}."
-                )
-            if not wanted:
-                raise ConfigurationError("collect_any of an empty ticket set.")
-        deadline = None if timeout is None else time.monotonic() + float(timeout)
-        while True:
-            ready_tickets = (
-                self._replies.keys()
-                if wanted is None
-                else wanted & self._replies.keys()
-            )
-            if ready_tickets:
-                ticket = min(ready_tickets)
-                ok, payload = self._replies.pop(ticket)
-                if not ok:
-                    raise ShardError(
-                        f"shard request failed: {payload}", ticket=ticket
-                    )
-                return ticket, payload
-            owing = {
-                s
-                for t, s in self._shard_of.items()
-                if wanted is None or t in wanted
-            }
-            if not owing:
-                raise ConfigurationError("no outstanding tickets to collect.")
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                ready = []
-            else:
-                ready = mp_connection.wait(
-                    [self._conns[s] for s in sorted(owing)], timeout=remaining
-                )
-            if not ready:
-                raise ShardTimeoutError(
-                    f"no reply from shard(s) {sorted(owing)} within "
-                    f"{float(timeout):g}s."
-                )
-            shard_of_conn = {id(self._conns[s]): s for s in owing}
-            for conn in ready:
-                shard = shard_of_conn[id(conn)]
-                try:
-                    t, ok, payload, tel_delta = conn.recv()
-                except (EOFError, OSError) as exc:
-                    raise ShardDiedError(
-                        f"shard {shard} died with {len(self._shard_of)} "
-                        "request(s) outstanding.",
-                        shard=shard,
-                    ) from exc
-                if tel_delta is not None and self.telemetry.enabled:
-                    self.telemetry.merge(tel_delta, extra_labels={"shard": shard})
-                self._replies[t] = (ok, payload)
-                self._shard_of.pop(t, None)
-
-    def restart_shard(self, shard: int, *, grace: float = 1.0) -> str:
-        """Stop ``shard``'s worker (if needed) and spawn a fresh one.
-
-        The escalation is terminate -> kill (:func:`_stop_process`); an
-        already-dead worker is just reaped. Every outstanding ticket of
-        the shard is failed with a :data:`SHARD_RESTARTED`-prefixed
-        payload — their requests may or may not have executed, and the
-        fresh worker's host starts empty, so it is the caller's job
-        (e.g. the fleet supervisor) to re-seed state and replay. Returns
-        the stop outcome (``"dead"``/``"terminated"``/``"killed"``).
-        """
-        if self._closed:
-            raise ConfigurationError("ShardPool is closed.")
-        shard = int(shard)
-        if not 0 <= shard < len(self._procs):
-            raise ConfigurationError(
-                f"shard {shard} out of range (pool has {len(self._procs)})."
-            )
-        outcome = _stop_process(self._procs[shard], grace=grace)
-        try:
-            self._conns[shard].close()
-        except OSError:  # pragma: no cover — close on a broken pipe
-            pass
-        for ticket in [t for t, s in self._shard_of.items() if s == shard]:
-            self._replies[ticket] = (
-                False,
-                f"{SHARD_RESTARTED}: shard {shard} worker restarted ({outcome}).",
-            )
-            del self._shard_of[ticket]
-        parent, proc = self._spawn(shard)
-        self._conns[shard] = parent
-        self._procs[shard] = proc
-        return outcome
-
-    def call(self, shard: int, method: str, *args, **kwargs) -> Any:
-        """Synchronous ``submit`` + ``collect`` on one shard."""
-        return self.collect(self.submit(shard, method, *args, **kwargs))
-
-    def broadcast(self, method: str, *args, **kwargs) -> List[Any]:
-        """Call ``method`` on every shard; returns results in shard order."""
-        tickets = [
-            self.submit(shard, method, *args, **kwargs)
-            for shard in range(self.n_shards)
-        ]
-        return [self.collect(t) for t in tickets]
-
-    def flush_telemetry(self) -> None:
-        """Pull every worker hub's outstanding snapshot delta into the
-        parent hub now (the collect path merges them as they arrive)."""
-        self.broadcast(TELEMETRY_FLUSH)
-
-    def close(self, *, grace: float = 10.0) -> None:
-        """Shut every shard down (idempotent); outstanding replies are dropped.
-
-        ``grace`` bounds the polite wait per worker; one still alive
-        after that (stuck mid-request, ignoring the shutdown sentinel)
-        is escalated terminate -> kill via :func:`_stop_process`.
-        """
-        if self._closed:
-            return
-        if self.telemetry.enabled:
-            try:
-                self.flush_telemetry()
-            except (ShardError, ConfigurationError):
-                pass  # a dead shard's unflushed delta is unrecoverable
-        self._closed = True
-        for conn in self._conns:
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=grace)
-            if proc.is_alive():
-                _stop_process(proc, grace=grace)
-        for conn in self._conns:
-            conn.close()
-        self._shard_of.clear()
-        self._replies.clear()
-
-    def __enter__(self) -> "ShardPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
 
 def make_grid(

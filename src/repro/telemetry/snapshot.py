@@ -1,8 +1,9 @@
 """Serializable point-in-time captures of a :class:`MetricsRegistry`.
 
 A :class:`TelemetrySnapshot` is plain data — nested builtins only — so it
-pickles across process boundaries (``ShardPool`` workers, ``ParallelRunner``
-cells) and round-trips through JSON unchanged. The registry produces one
+pickles across process boundaries (:class:`~repro.fleet.pool.ShardPool`
+workers, including the ones that run ``ParallelRunner`` cells) and
+round-trips through JSON unchanged. The registry produces one
 via :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot` and consumes
 one via :meth:`~repro.telemetry.metrics.MetricsRegistry.merge`; the
 :meth:`diff` method turns two successive captures into a *delta* snapshot

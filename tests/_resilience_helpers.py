@@ -1,13 +1,15 @@
 """Module-level helpers for crash-recovery tests.
 
-``crashing_builder`` must be addressable as a ``"module:callable"``
-method path in a :class:`repro.metrics.parallel.CellSpec` (worker
-processes re-import it by name), so it lives in an importable module
-rather than inside a test function.
+The builders here must be addressable as ``"module:callable"`` pipeline
+paths in a :class:`repro.engine.ExperimentSpec` (worker processes
+re-import them by name), so they live in an importable module rather
+than inside a test function.
 """
 
 from __future__ import annotations
 
+import os
+import time
 from pathlib import Path
 
 from repro.core import build_proposed
@@ -39,4 +41,25 @@ def tuple_kwarg_builder(X, y, *, seed=0, widths=(8,), **kwargs):
     that back as a spec mismatch.
     """
     assert isinstance(widths, tuple)
+    return build_proposed(X, y, seed=seed, **kwargs)
+
+
+def hanging_builder(X, y, *, seed=0, hang_seconds=30.0, **kwargs):
+    """Builder that sleeps past any sane cell timeout (a hung worker)."""
+    time.sleep(float(hang_seconds))
+    return build_proposed(X, y, seed=seed, **kwargs)
+
+
+def exiting_builder(X, y, *, seed=0, exit_marker=None, **kwargs):
+    """Builder whose process ``os._exit``s once, then builds normally.
+
+    The first call (no marker file yet) drops the marker and kills its
+    own process without cleanup — a worker that dies mid-cell. Every
+    later call, in whichever process, builds a normal proposed pipeline.
+    """
+    if exit_marker is not None:
+        marker = Path(exit_marker)
+        if not marker.exists():
+            marker.write_text("exited")
+            os._exit(3)
     return build_proposed(X, y, seed=seed, **kwargs)

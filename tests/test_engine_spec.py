@@ -93,12 +93,6 @@ class TestRegistry:
         finally:
             PIPELINE_BUILDERS.pop("_test_engine_spec_tmp", None)
 
-    def test_parallel_aliases_are_the_same_dicts(self):
-        from repro.metrics.parallel import METHOD_BUILDERS, STREAM_FACTORIES
-
-        assert METHOD_BUILDERS is PIPELINE_BUILDERS
-        assert STREAM_FACTORIES is DATASET_FACTORIES
-
 
 class TestExperimentSpec:
     def test_json_round_trip_is_lossless(self):
@@ -137,13 +131,6 @@ class TestExperimentSpec:
                               seed=7).effective_model_seed == 7
         assert ExperimentSpec(name="x", pipeline="p", dataset="d", seed=7,
                               model_seed=3).effective_model_seed == 3
-
-    def test_legacy_aliases(self):
-        spec = ExperimentSpec(**BLOBS_SPEC)
-        assert spec.method == spec.pipeline
-        assert spec.stream == spec.dataset
-        assert spec.method_kwargs is spec.pipeline_kwargs
-        assert spec.stream_kwargs is spec.dataset_kwargs
 
 
 class TestBuildExperiment:

@@ -207,28 +207,28 @@ class TestParallelRunnerCrashRecovery:
     retry wave, with counters that tell the true story."""
 
     def _spec(self, tmp_path):
-        from repro.metrics.parallel import CellSpec
+        from repro.engine import ExperimentSpec
 
         stream_kwargs = {"seed": 3, "n_test": 300, "drift_at": 120}
-        crashing = CellSpec(
+        crashing = ExperimentSpec(
             name="Proposed (crashes once)",
-            method="tests._resilience_helpers:crashing_builder",
-            stream="blobs",
+            pipeline="tests._resilience_helpers:crashing_builder",
+            dataset="blobs",
             seed=1,
-            method_kwargs={
+            pipeline_kwargs={
                 "window_size": 30,
                 "crash_marker": str(tmp_path / "crashed.marker"),
                 "crash_step": 150,
             },
-            stream_kwargs=stream_kwargs,
+            dataset_kwargs=stream_kwargs,
         )
-        plain = CellSpec(
+        plain = ExperimentSpec(
             name="Proposed (reference)",
-            method="proposed",
-            stream="blobs",
+            pipeline="proposed",
+            dataset="blobs",
             seed=1,
-            method_kwargs={"window_size": 30},
-            stream_kwargs=stream_kwargs,
+            pipeline_kwargs={"window_size": 30},
+            dataset_kwargs=stream_kwargs,
         )
         return crashing, plain
 

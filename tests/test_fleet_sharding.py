@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from repro.engine import ExperimentSpec, build_experiment
-from repro.fleet import FleetStats, ShardedFleetManager, shard_of
-from repro.metrics import ShardError, ShardPool
+from repro.fleet import FleetStats, ShardedFleetManager, ShardError, ShardPool, shard_of
 from repro.telemetry import RingBufferSink, configure, get_telemetry
 from repro.utils.exceptions import ConfigurationError
 

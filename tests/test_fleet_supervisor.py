@@ -15,10 +15,18 @@ import numpy as np
 import pytest
 
 from repro.engine import ExperimentSpec, build_experiment
-from repro.fleet import FleetManager, FleetSupervisor, JournalEntry, SupervisorConfig
+from repro.fleet import (
+    SHARD_RESTARTED,
+    FleetManager,
+    FleetSupervisor,
+    JournalEntry,
+    ShardDiedError,
+    ShardError,
+    ShardPool,
+    ShardTimeoutError,
+    SupervisorConfig,
+)
 from repro.guard.ladder import GuardLevel
-from repro.metrics import ShardDiedError, ShardError, ShardPool, ShardTimeoutError
-from repro.metrics.parallel import SHARD_RESTARTED
 from repro.utils.exceptions import (
     ConfigurationError,
     DeviceQuarantinedError,

@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core import build_baseline, build_proposed
+from repro.engine import DATASET_FACTORIES, PIPELINE_BUILDERS, ExperimentSpec
 from repro.metrics import (
-    CellSpec,
     ParallelExecutionError,
     ParallelRunner,
     compare_methods,
     make_grid,
     run_cell,
 )
-from repro.metrics.parallel import METHOD_BUILDERS, STREAM_FACTORIES
 from repro.utils.exceptions import ConfigurationError
 
 #: One small, fast grid reused across tests (stream seed pinned so the
@@ -33,19 +39,19 @@ def small_cells(seeds=(1,)):
 
 class TestCellSpec:
     def test_hash_ignores_display_name(self):
-        a = CellSpec(name="A", method="baseline", stream="blobs", seed=1)
-        b = CellSpec(name="B", method="baseline", stream="blobs", seed=1)
+        a = ExperimentSpec(name="A", pipeline="baseline", dataset="blobs", seed=1)
+        b = ExperimentSpec(name="B", pipeline="baseline", dataset="blobs", seed=1)
         assert a.config_hash() == b.config_hash()
 
     def test_hash_sensitive_to_config(self):
-        base = CellSpec(name="x", method="baseline", stream="blobs", seed=1)
+        base = ExperimentSpec(name="x", pipeline="baseline", dataset="blobs", seed=1)
         variants = [
-            CellSpec(name="x", method="proposed", stream="blobs", seed=1),
-            CellSpec(name="x", method="baseline", stream="blobs", seed=2),
-            CellSpec(name="x", method="baseline", stream="blobs", seed=1,
-                     method_kwargs={"n_hidden": 8}),
-            CellSpec(name="x", method="baseline", stream="blobs", seed=1, n_test=99),
-            CellSpec(name="x", method="baseline", stream="blobs", seed=1, chunk_size=1),
+            ExperimentSpec(name="x", pipeline="proposed", dataset="blobs", seed=1),
+            ExperimentSpec(name="x", pipeline="baseline", dataset="blobs", seed=2),
+            ExperimentSpec(name="x", pipeline="baseline", dataset="blobs", seed=1,
+                           pipeline_kwargs={"n_hidden": 8}),
+            ExperimentSpec(name="x", pipeline="baseline", dataset="blobs", seed=1, n_test=99),
+            ExperimentSpec(name="x", pipeline="baseline", dataset="blobs", seed=1, chunk_size=1),
         ]
         hashes = {v.config_hash() for v in variants}
         assert base.config_hash() not in hashes
@@ -60,16 +66,16 @@ class TestCellSpec:
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_cell(CellSpec(name="x", method="nope", stream="blobs", seed=1))
+            run_cell(ExperimentSpec(name="x", pipeline="nope", dataset="blobs", seed=1))
         with pytest.raises(ConfigurationError):
-            run_cell(CellSpec(name="x", method="baseline", stream="nope", seed=1))
+            run_cell(ExperimentSpec(name="x", pipeline="baseline", dataset="nope", seed=1))
 
 
 class TestEquivalence:
     def test_reproduces_compare_methods_cell_for_cell(self):
         """Acceptance: same seeds → the grid runner returns exactly what a
         serial compare_methods run produces, record for record."""
-        train, test = STREAM_FACTORIES["blobs"](**BLOBS_KWARGS)
+        train, test = DATASET_FACTORIES["blobs"](**BLOBS_KWARGS)
         builders = {
             "Proposed": lambda: build_proposed(train.X, train.y, window_size=30, seed=1),
             "Baseline": lambda: build_baseline(train.X, train.y, seed=1),
@@ -160,10 +166,10 @@ class TestRetry:
                 raise RuntimeError("transient worker failure")
             return build_baseline(X, y, seed=seed)
 
-        monkeypatch.setitem(METHOD_BUILDERS, "flaky", flaky)
+        monkeypatch.setitem(PIPELINE_BUILDERS, "flaky", flaky)
         cells = [
-            CellSpec(name="flaky", method="flaky", stream="blobs", seed=1,
-                     stream_kwargs=dict(BLOBS_KWARGS))
+            ExperimentSpec(name="flaky", pipeline="flaky", dataset="blobs", seed=1,
+                           dataset_kwargs=dict(BLOBS_KWARGS))
         ]
         (res,) = ParallelRunner(max_workers=1, retries=1).run(cells)
         assert res.attempts == 2
@@ -173,10 +179,10 @@ class TestRetry:
         def broken(X, y, *, seed=None, **kwargs):
             raise RuntimeError("always broken")
 
-        monkeypatch.setitem(METHOD_BUILDERS, "broken", broken)
+        monkeypatch.setitem(PIPELINE_BUILDERS, "broken", broken)
         cells = [
-            CellSpec(name="broken", method="broken", stream="blobs", seed=1,
-                     stream_kwargs=dict(BLOBS_KWARGS))
+            ExperimentSpec(name="broken", pipeline="broken", dataset="blobs", seed=1,
+                           dataset_kwargs=dict(BLOBS_KWARGS))
         ]
         with pytest.raises(ParallelExecutionError, match="always broken"):
             ParallelRunner(max_workers=1, retries=2).run(cells)
@@ -185,14 +191,96 @@ class TestRetry:
         def broken(X, y, *, seed=None, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(METHOD_BUILDERS, "broken", broken)
+        monkeypatch.setitem(PIPELINE_BUILDERS, "broken", broken)
         good = small_cells(seeds=[1])
-        bad = CellSpec(name="broken", method="broken", stream="blobs", seed=1,
-                       stream_kwargs=dict(BLOBS_KWARGS))
+        bad = ExperimentSpec(name="broken", pipeline="broken", dataset="blobs", seed=1,
+                             dataset_kwargs=dict(BLOBS_KWARGS))
         with pytest.raises(ParallelExecutionError) as excinfo:
             ParallelRunner(max_workers=1, retries=0).run([*good, bad])
         assert "broken" in str(excinfo.value)
         assert "Proposed" not in str(excinfo.value)  # the good cells ran
+
+
+class TestPooledWorkerFaults:
+    """A hung or dying worker costs only its own cell, and no worker
+    outlives ``run()``."""
+
+    def test_hung_cell_times_out_and_leaves_no_workers(self):
+        hung = ExperimentSpec(
+            name="Hangs",
+            pipeline="tests._resilience_helpers:hanging_builder",
+            dataset="blobs",
+            seed=1,
+            pipeline_kwargs={"hang_seconds": 30.0, "window_size": 30},
+            dataset_kwargs=dict(BLOBS_KWARGS),
+        )
+        before = set(multiprocessing.active_children())
+        start = time.monotonic()
+        with pytest.raises(ParallelExecutionError) as excinfo:
+            ParallelRunner(max_workers=2, timeout=1, retries=1).run(
+                [hung, *small_cells()]
+            )
+        # Two 1 s attempts plus worker start-up and kills: far below the
+        # builder's 30 s sleep, which no worker may be left to finish.
+        assert time.monotonic() - start < 10.0
+        assert set(multiprocessing.active_children()) - before == set()
+        message = str(excinfo.value)
+        assert "1 cell(s) failed after 2 attempt(s)" in message
+        assert "'Hangs': timed out after 1s" in message
+
+    @staticmethod
+    def _grid_with_dying_cell(tmp_path):
+        cells = small_cells(seeds=[1, 2, 3])  # six cells
+        cells[2] = cells[2].replace(
+            name="Dies once",
+            pipeline="tests._resilience_helpers:exiting_builder",
+            pipeline_kwargs={
+                **cells[2].pipeline_kwargs,
+                "exit_marker": str(tmp_path / "exited.marker"),
+            },
+        )
+        return cells
+
+    def test_dead_worker_retries_only_its_cell(self, tmp_path):
+        cells = self._grid_with_dying_cell(tmp_path)
+        pooled = ParallelRunner(max_workers=2, retries=1, keep_records=True).run(cells)
+        assert [r.attempts for r in pooled] == [1, 1, 2, 1, 1, 1]
+        # The marker now exists, so the inline reference run never exits.
+        inline = ParallelRunner(max_workers=1, keep_records=True).run(cells)
+        for a, b in zip(pooled, inline):
+            assert a.name == b.name
+            assert a.accuracy == b.accuracy
+            assert a.delays == b.delays
+            assert a.records == b.records
+
+    def test_dead_worker_without_retries_fails_only_its_cell(self, tmp_path):
+        cells = self._grid_with_dying_cell(tmp_path)
+        with pytest.raises(ParallelExecutionError) as excinfo:
+            ParallelRunner(max_workers=2, retries=0).run(cells)
+        message = str(excinfo.value)
+        assert message.startswith("1 cell(s) failed after 1 attempt(s)")
+        assert "'Dies once'" in message
+        assert "Proposed" not in message
+        assert "Baseline" not in message
+
+
+class TestPackageImport:
+    def test_import_repro_loads_no_process_pool(self):
+        """``import repro`` stays light: the process pool is loaded only
+        when a pooled grid actually runs."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
+        code = (
+            "import sys, repro; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestRunGrid:
@@ -235,8 +323,6 @@ class TestCacheIntegrity:
     store/load must agree on both the path and the spec comparison."""
 
     def test_distinct_paths_for_each_identity_field(self, tmp_path):
-        from repro.engine import ExperimentSpec
-
         runner = ParallelRunner(cache_dir=tmp_path, max_workers=1)
         base = ExperimentSpec(name="x", pipeline="baseline", dataset="blobs", seed=1)
         variants = [
@@ -261,8 +347,6 @@ class TestCacheIntegrity:
         # Regression: the stored spec goes through a JSON round trip
         # (tuple -> list), so the loader's equality check used to report
         # a permanent mismatch and silently recompute every run.
-        from repro.engine import ExperimentSpec
-
         spec = ExperimentSpec(
             name="tuple-cell",
             pipeline="tests._resilience_helpers:tuple_kwarg_builder",

@@ -19,9 +19,8 @@ import json
 import pytest
 
 from repro.core import build_proposed, build_quanttree_pipeline
-from repro.engine import Interceptor, StreamEngine, default_stack
+from repro.engine import DATASET_FACTORIES, Interceptor, StreamEngine, default_stack
 from repro.metrics import ParallelRunner, make_grid
-from repro.metrics.parallel import STREAM_FACTORIES
 from repro.telemetry import JsonlSink, RingBufferSink, configure, get_telemetry
 
 #: One blobs stream where the proposed pipeline detects one drift and
@@ -30,7 +29,7 @@ STREAM_KWARGS = {"seed": 3, "n_test": 900, "drift_at": 300}
 
 
 def make_streams():
-    return STREAM_FACTORIES["blobs"](**STREAM_KWARGS)
+    return DATASET_FACTORIES["blobs"](**STREAM_KWARGS)
 
 
 def make_proposed(train):

@@ -16,6 +16,12 @@ Rules (see ``docs/architecture.md``):
    ``repro.resilience``, or ``repro.telemetry`` at module level (lazy,
    call-time imports are fine: the engine stays importable on a stripped
    deployment where those subsystems are absent).
+4. ``repro.fleet`` must not import ``repro.metrics`` **at any level**:
+   the process pool lives in ``repro.fleet.pool``, and the fleet never
+   depends on the evaluation harness.
+5. ``repro.metrics`` must not import ``repro.fleet`` at module level:
+   ``ParallelRunner`` loads the pool at call time, only when it runs a
+   pooled grid, so ``import repro`` loads no process-pool machinery.
 
 Exits non-zero listing every violation as ``file:line: message``.
 Run from the repo root::
@@ -129,6 +135,8 @@ def check() -> list[str]:
 
     scan("core", banned_everywhere=SERVICES, banned_module_level=("engine",))
     scan("engine", banned_module_level=SERVICES)
+    scan("fleet", banned_everywhere=("metrics",))
+    scan("metrics", banned_module_level=("fleet",))
     return errors
 
 
@@ -139,7 +147,10 @@ def main() -> int:
         for err in errors:
             print(f"  {err}")
         return 1
-    print("layering check OK: core is service-free, engine imports lazily.")
+    print(
+        "layering check OK: core is service-free, engine imports lazily, "
+        "fleet is metrics-free, metrics loads the pool lazily."
+    )
     return 0
 
 
