@@ -131,8 +131,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out",
-        default="BENCH_fleet.json",
-        help="where to write the JSON report (default: ./BENCH_fleet.json)",
+        default=None,
+        help="where to write the JSON report (default: ./BENCH_fleet.json; "
+             "with --smoke, the untracked .bench_out/BENCH_fleet_smoke.json)",
     )
     parser.add_argument(
         "--history", default=None, metavar="PATH",
@@ -199,6 +200,11 @@ def main(argv=None) -> int:
             f"-> {ab['speedup']:.2f}x"
         )
 
+    if args.out is None:
+        args.out = (
+            ".bench_out/BENCH_fleet_smoke.json" if args.smoke else "BENCH_fleet.json"
+        )
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     Path(args.out).write_text(json.dumps(data, indent=2) + "\n")
     if not args.no_history:
         from bench_history import DEFAULT_HISTORY, append_history

@@ -132,8 +132,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out",
-        default="BENCH_serving.json",
-        help="where to write the JSON report (default: ./BENCH_serving.json)",
+        default=None,
+        help="where to write the JSON report (default: ./BENCH_serving.json; "
+             "with --smoke, the untracked .bench_out/BENCH_serving_smoke.json)",
     )
     parser.add_argument(
         "--history", default=None, metavar="PATH",
@@ -174,6 +175,11 @@ def main(argv=None) -> int:
     data["verified_devices"] = params["verify"]
     data["mismatches"] = mismatches
 
+    if args.out is None:
+        args.out = (
+            ".bench_out/BENCH_serving_smoke.json" if args.smoke else "BENCH_serving.json"
+        )
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     Path(args.out).write_text(json.dumps(data, indent=2) + "\n")
     if not args.no_history:
         from bench_history import DEFAULT_HISTORY, append_history

@@ -10,6 +10,7 @@ from .factory import (
     build_proposed,
     build_quanttree_pipeline,
     build_spll_pipeline,
+    pipeline_from_state,
 )
 from .monitor import DriftEvent, DriftMonitor
 from .multi_window import MultiWindowDetector, MultiWindowStep
@@ -58,4 +59,5 @@ __all__ = [
     "build_quanttree_pipeline",
     "build_spll_pipeline",
     "build_hdddm_pipeline",
+    "pipeline_from_state",
 ]

@@ -268,9 +268,12 @@ class SequentialDriftDetector:
     # -- checkpoint protocol -----------------------------------------------------------
 
     def get_state(self) -> dict:
-        """Snapshot the Algorithm 1 state machine plus its centroids."""
+        """Snapshot the Algorithm 1 state machine, its centroids and the
+        two thresholds calibrated from the initial-training data."""
         return {
             "centroids": self.centroids.get_state(),
+            "theta_error": float(self.theta_error),
+            "theta_drift": float(self.theta_drift),
             "drift": bool(self.drift),
             "check": bool(self.check),
             "win": int(self._win),
@@ -282,6 +285,8 @@ class SequentialDriftDetector:
     def set_state(self, state: dict) -> None:
         """Restore a :meth:`get_state` snapshot."""
         self.centroids.set_state(state["centroids"])
+        self.theta_error = float(state["theta_error"])
+        self.theta_drift = float(state["theta_drift"])
         self.drift = bool(state["drift"])
         self.check = bool(state["check"])
         self._win = int(state["win"])

@@ -42,7 +42,14 @@ from .registry import (
     resolve_pipeline,
 )
 from .session import StreamSession
-from .spec import Experiment, ExperimentSpec, build_experiment, canonical_json, spec_hash
+from .spec import (
+    Experiment,
+    ExperimentSpec,
+    build_experiment,
+    canonical_json,
+    restore_pipeline,
+    spec_hash,
+)
 
 __all__ = [
     "RunContext",
@@ -69,6 +76,7 @@ __all__ = [
     "ExperimentSpec",
     "Experiment",
     "build_experiment",
+    "restore_pipeline",
     "spec_hash",
     "canonical_json",
 ]

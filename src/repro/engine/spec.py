@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, List, Mapping, Optional
 
+from ..core.factory import pipeline_from_state
 from ..utils.exceptions import ConfigurationError
 from .registry import resolve_dataset, resolve_pipeline
 
@@ -28,6 +29,7 @@ __all__ = [
     "ExperimentSpec",
     "Experiment",
     "build_experiment",
+    "restore_pipeline",
     "spec_hash",
     "canonical_json",
 ]
@@ -231,3 +233,43 @@ def build_experiment(spec: ExperimentSpec) -> Experiment:
         guard = RuntimeGuard.from_init_data(train.X, policy=spec.guard_policy)
         pipeline.attach_guard(guard)
     return Experiment(spec=spec, train=train, test=test, pipeline=pipeline, guard=guard)
+
+
+def restore_pipeline(spec: ExperimentSpec, state: dict, guard_state: Optional[dict] = None):
+    """The pipeline ``spec`` builds, holding a checkpointed state.
+
+    ``state`` is the pipeline's ``get_state()`` and ``guard_state`` its
+    guard's (``None`` when ``spec`` has no ``guard_policy``). For the
+    built-in pipeline families the pipeline is assembled from ``state``
+    alone (:func:`~repro.core.factory.pipeline_from_state`) and the guard
+    gets its bounds from ``guard_state``: no dataset is synthesised and
+    nothing is trained. Any other builder — a ``"module:callable"`` path
+    or a user-registered one — has no assembly to reuse, so the spec is
+    built in full and its state then overwritten.
+    """
+    if (guard_state is None) != (spec.guard_policy is None):
+        raise ConfigurationError(
+            "checkpoint and spec disagree on the guard: the checkpoint has "
+            f"{'no' if guard_state is None else 'a'} guard state, the spec's "
+            f"guard_policy is {spec.guard_policy!r}."
+        )
+    pipeline = pipeline_from_state(
+        resolve_pipeline(spec.pipeline),
+        state,
+        seed=spec.effective_model_seed,
+        **dict(spec.pipeline_kwargs),
+    )
+    if pipeline is None:
+        pipeline = build_experiment(spec).pipeline
+        pipeline.set_state(state)
+    elif guard_state is not None:
+        from ..guard import RuntimeGuard
+
+        pipeline.attach_guard(
+            RuntimeGuard.for_features(
+                pipeline.model.n_features, policy=spec.guard_policy
+            )
+        )
+    if guard_state is not None:
+        pipeline.guard.set_state(guard_state)
+    return pipeline

@@ -5,8 +5,10 @@ per registered device and multiplexes them through a single process.
 Resident sessions are bounded by an LRU capacity; the coldest session is
 evicted to a :mod:`repro.resilience` checkpoint container (pipeline +
 guard state plus its column-encoded records) and lazily restored the
-next time that device's samples arrive. Because a pipeline rebuilt from
-its :class:`~repro.engine.spec.ExperimentSpec` is deterministic and
+next time that device's samples arrive. The restore assembles the
+pipeline from the spooled state alone
+(:func:`~repro.engine.spec.restore_pipeline`): no dataset synthesis, no
+training. Because that state holds everything the pipeline learned and
 record streams are chunk-boundary invariant, an evicted-and-restored
 device produces records **byte-identical** to one that ran alone — the
 fleet golden suite pins this for every registered pipeline family.
@@ -34,7 +36,7 @@ from ..engine.interceptors import (
     TelemetryInterceptor,
 )
 from ..engine.session import StreamSession
-from ..engine.spec import ExperimentSpec
+from ..engine.spec import ExperimentSpec, restore_pipeline
 from ..utils.exceptions import (
     CheckpointError,
     ConfigurationError,
@@ -495,13 +497,7 @@ class FleetManager:
         session = self._resident.pop(device_id, None)
         if session is None:
             return False
-        path = self._spool_session(device_id, session)
-        session.close()
-        self._evicted[device_id] = path
-        self.stats.evictions += 1
-        tel = self.telemetry
-        if tel.enabled:
-            tel.counter("fleet.evictions", "sessions evicted to spool").inc()
+        self._evict(device_id, session)
         return True
 
     def attach_spool(self, device_id: str) -> bool:
@@ -681,7 +677,10 @@ class FleetManager:
         return path
 
     def _evict_coldest(self) -> None:
-        device_id, session = self._resident.popitem(last=False)
+        self._evict(*self._resident.popitem(last=False))
+
+    def _evict(self, device_id: str, session: StreamSession) -> None:
+        """Spool a session already taken out of the LRU and close it."""
         t0 = time.perf_counter()
         path = self._spool_session(device_id, session)
         session.close()
@@ -691,9 +690,9 @@ class FleetManager:
         tel = self.telemetry
         if tel.enabled:
             tel.counter("fleet.evictions", "sessions evicted to spool").inc()
+        self._set_resident_gauge()
 
     def _restore(self, device_id: str, spec: ExperimentSpec) -> StreamSession:
-        from ..engine.spec import build_experiment
         from ..resilience import decode_records, load_checkpoint
 
         t0 = time.perf_counter()
@@ -729,21 +728,11 @@ class FleetManager:
                 f"spool file {path} belongs to device {ck.meta.get('device')!r}, "
                 f"not {device_id!r}."
             )
-        # Rebuilding from the spec is deterministic (same seeds -> same
-        # model shape), so set_state lands on an identical skeleton.
-        exp = build_experiment(spec)
-        exp.pipeline.set_state(ck.state["pipeline"])
-        if ck.state["guard"] is not None:
-            if exp.pipeline.guard is None:
-                raise ConfigurationError(
-                    f"device {device_id!r} was evicted with guard state but its "
-                    "spec builds no guard."
-                )
-            exp.pipeline.guard.set_state(ck.state["guard"])
+        pipeline = restore_pipeline(spec, ck.state["pipeline"], ck.state["guard"])
         records = decode_records(ck.state["records"])
         session = StreamSession(
-            exp.pipeline,
-            self._stack(spec, exp.pipeline, device_id),
+            pipeline,
+            self._stack(spec, pipeline, device_id),
             start=int(ck.state["position"]),
             records=records,
         ).open()

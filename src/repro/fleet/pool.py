@@ -179,8 +179,8 @@ class ShardPool:
     When the parent hub is live, each worker piggybacks a telemetry
     snapshot delta on every ``telemetry_every``-th reply; the pool merges
     it into the parent hub with a ``shard`` label as the reply is
-    collected, and :meth:`flush_telemetry` (called automatically by
-    :meth:`close`) pulls whatever is still outstanding — so worker-side
+    collected, and :meth:`flush_telemetry` (and :meth:`close`, within
+    its ``grace``) pulls whatever is still outstanding — so worker-side
     metrics are aggregated losslessly instead of dying with the workers.
     """
 
@@ -295,8 +295,7 @@ class ShardPool:
         while ticket not in self._replies:
             conn = self._conns[shard]
             if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not conn.poll(remaining):
+                if not conn.poll(max(deadline - time.monotonic(), 0.0)):
                     raise ShardTimeoutError(
                         f"shard {shard} gave no reply for ticket {ticket} "
                         f"within {float(timeout):g}s.",
@@ -467,17 +466,28 @@ class ShardPool:
     def close(self, *, grace: float = 10.0) -> None:
         """Shut every shard down (idempotent); outstanding replies are dropped.
 
-        ``grace`` bounds the polite wait per worker; one still alive
-        after that (stuck mid-request, ignoring the shutdown sentinel)
-        is escalated terminate -> kill via :func:`_stop_process`.
+        ``grace`` bounds the final telemetry flush (all shards together)
+        and then the polite wait per worker; one still alive after that
+        (stuck mid-request, ignoring the shutdown sentinel) is escalated
+        terminate -> kill via :func:`_stop_process`.
         """
         if self._closed:
             return
         if self.telemetry.enabled:
-            try:
-                self.flush_telemetry()
-            except (ShardError, ConfigurationError):
-                pass  # a dead shard's unflushed delta is unrecoverable
+            # A stuck shard's unflushed delta is lost, like a dead one's;
+            # without the deadline its flush would block close() forever.
+            deadline = time.monotonic() + float(grace)
+            tickets = []
+            for shard in range(self.n_shards):
+                try:
+                    tickets.append(self.submit(shard, TELEMETRY_FLUSH))
+                except ShardError:
+                    pass
+            for ticket in tickets:
+                try:
+                    self.collect(ticket, timeout=deadline - time.monotonic())
+                except ShardError:
+                    pass
         self._closed = True
         for conn in self._conns:
             try:

@@ -107,7 +107,34 @@ class RuntimeGuard:
         """
         X = np.asarray(X, dtype=np.float64)
         bounds = FeatureBounds.from_data(X, margin=margin)
-        sanitizer = InputSanitizer(bounds.n_features, policy=policy, bounds=bounds)
+        return cls.for_features(
+            bounds.n_features,
+            bounds=bounds,
+            policy=policy,
+            sentinel=sentinel,
+            ladder=ladder,
+            snapshot_every=snapshot_every,
+        )
+
+    @classmethod
+    def for_features(
+        cls,
+        n_features: int,
+        *,
+        bounds: Optional[FeatureBounds] = None,
+        policy: str = "impute_last_good",
+        sentinel: Optional[NumericHealthSentinel] = None,
+        ladder: Optional[DegradationLadder] = None,
+        snapshot_every: int = 256,
+    ) -> "RuntimeGuard":
+        """The guard's wiring over ``n_features``-wide samples.
+
+        :meth:`from_init_data` passes the bounds it learned; a restore
+        passes none and lets :meth:`set_state` install the checkpointed
+        ones. The sentinel defaults to a stock
+        :class:`NumericHealthSentinel`.
+        """
+        sanitizer = InputSanitizer(n_features, policy=policy, bounds=bounds)
         return cls(
             sanitizer,
             sentinel=sentinel if sentinel is not None else NumericHealthSentinel(),
@@ -345,16 +372,19 @@ class RuntimeGuard:
     # -- checkpoint protocol ---------------------------------------------------
 
     def get_state(self) -> dict:
-        """Isolated snapshot of everything mutable: ladder position,
-        sanitizer tallies and imputation source, sentinel trip count,
-        the in-memory rollback snapshot, and the intervention history.
+        """Isolated snapshot of the sanitizer's bounds learned from the
+        init set and of everything mutable: ladder position, sanitizer
+        tallies and imputation source, sentinel trip count, the
+        in-memory rollback snapshot, and the intervention history.
 
         Mirrors ``StreamPipeline.get_state`` so a guarded session can be
         evicted to a checkpoint container and restored with its
         degradation state — not just its model — intact.
         """
+        bounds = self.sanitizer.bounds
         state = {
             "ladder": self.ladder.get_state(),
+            "bounds": None if bounds is None else {"lo": bounds.lo, "hi": bounds.hi},
             "sanitizer": {
                 "counts": dict(self.sanitizer.counts),
                 "last_good": self.sanitizer._last_good,
@@ -385,6 +415,15 @@ class RuntimeGuard:
     def set_state(self, state: dict) -> None:
         """Restore :meth:`get_state` output (after ``bind``)."""
         self.ladder.set_state(state["ladder"])
+        bounds = state["bounds"]
+        if bounds is not None:
+            bounds = FeatureBounds(bounds["lo"], bounds["hi"])
+            if bounds.n_features != self.sanitizer.n_features:
+                raise ConfigurationError(
+                    f"checkpointed bounds cover {bounds.n_features} features, "
+                    f"this guard's sanitizer {self.sanitizer.n_features}."
+                )
+        self.sanitizer.bounds = bounds
         san = state["sanitizer"]
         self.sanitizer.counts = {k: int(v) for k, v in san["counts"].items()}
         last_good = san["last_good"]

@@ -24,6 +24,7 @@ PIPELINES = {
     "onlad": {"forgetting_factor": 0.95},
     "quanttree": {"batch_size": 100, "n_bins": 8},
     "spll": {"batch_size": 100},
+    "hdddm": {"batch_size": 100},
 }
 
 N_TEST = 240

@@ -27,6 +27,7 @@ from repro.fleet import (
     SupervisorConfig,
 )
 from repro.guard.ladder import GuardLevel
+from repro.telemetry import configure
 from repro.utils.exceptions import (
     ConfigurationError,
     DeviceQuarantinedError,
@@ -114,6 +115,21 @@ class TestShardPoolRestart:
         t0 = time.perf_counter()
         pool.close(grace=0.2)
         assert time.perf_counter() - t0 < 10.0
+
+    def test_close_with_hub_enabled_bounds_the_telemetry_flush(self):
+        """No request_timeout: only close's own grace bounds the flush
+        queued behind a stuck request (flush + join + terminate grace,
+        then kill_grace)."""
+        configure(enabled=True, sinks=[], reset=True)
+        try:
+            pool = ShardPool(1, _pool_host_factory)
+            pool.submit(0, "sleep", 60.0)
+            t0 = time.perf_counter()
+            pool.close(grace=0.5)
+            assert time.perf_counter() - t0 < 3 * 0.5 + 5.0
+            assert not pool.shard_alive(0)
+        finally:
+            configure(enabled=False, sinks=[], reset=True)
 
 
 # --------------------------------------------------------------------------
