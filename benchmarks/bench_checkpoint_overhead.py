@@ -9,7 +9,8 @@ checkpointing may cost time, never fidelity.
 
 The bounded quantity is process *CPU* time (``time.process_time``,
 which charges the background checkpoint-writer thread to us — nothing
-is hidden by offloading). CPU time is the honest proxy for the cost
+is hidden by offloading), as the median over alternated A/B pairs of
+the per-pair ratio (``benchmarks/overhead.py``). CPU time is the honest proxy for the cost
 the paper cares about — compute on a busy edge device — and unlike
 wall time it is insensitive to noisy-neighbour drift on shared CI
 runners, whose round-to-round wall variance alone can exceed the 10 %
@@ -33,11 +34,11 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
-import time
 from pathlib import Path
-from typing import Callable, List
+from typing import List
 
 import numpy as np
+from overhead import PAIRS, paired_overhead, report
 
 from repro.core.pipeline import NoDetectionPipeline
 from repro.datasets import DataStream
@@ -87,15 +88,9 @@ def test_checkpointed_every_256(benchmark):
 
 def test_overhead_within_bound():
     """Plain assertion (runs in the default suite, no --benchmark-only)."""
-    ratios = []
-    for _ in range(3):  # re-measure on noise: any clean attempt passes
-        ratios.append(measure_overhead(n_samples=8192, rounds=7))
-        if ratios[-1] < OVERHEAD_BOUND:
-            return
-    joined = ", ".join(f"{r:+.2%}" for r in ratios)
-    raise AssertionError(
-        f"checkpoint overhead exceeded {OVERHEAD_BOUND:.0%} in every "
-        f"attempt: {joined}"
+    overhead = measure_overhead(n_samples=8192, pairs=PAIRS)
+    assert overhead < OVERHEAD_BOUND, (
+        f"checkpoint overhead {overhead:+.2%} exceeds {OVERHEAD_BOUND:.0%}"
     )
 
 
@@ -104,20 +99,12 @@ def test_overhead_within_bound():
 # --------------------------------------------------------------------------
 
 
-def _cpu_seconds(fn: Callable[[], object]) -> float:
-    """Process CPU time of one call (all threads, kernel time included)."""
-    t0 = time.process_time()
-    fn()
-    return time.process_time() - t0
+def measure_overhead(*, n_samples: int, pairs: int) -> float:
+    """Relative CPU overhead of the checkpointed run (see ``overhead.py``).
 
-
-def measure_overhead(*, n_samples: int, rounds: int) -> float:
-    """Best-of-``rounds`` relative CPU overhead of the checkpointed run.
-
-    Variants are timed in interleaved rounds (A/B, A/B, ...) so slow host
-    drift cancels out of the best-of comparison. Each timing call uses a
-    *fresh* pipeline — ``run`` advances ``_index``, so reuse would make
-    later rounds measure a different code path.
+    Each timing call uses a *fresh* pipeline — ``run`` advances
+    ``_index``, so reuse would make later pairs measure a different code
+    path.
     """
     model, stream = make_fixture(n_samples=n_samples)
 
@@ -135,43 +122,26 @@ def measure_overhead(*, n_samples: int, rounds: int) -> float:
         # Warm-up + sanity: checkpointing must not change the records
         # (StepRecord is a named tuple — field-wise equality).
         assert plain() == checkpointed(), "plain and checkpointed runs disagree"
-
-        best_plain = float("inf")
-        best_ckpt = float("inf")
-        for _ in range(rounds):
-            best_ckpt = min(best_ckpt, _cpu_seconds(checkpointed))
-            best_plain = min(best_plain, _cpu_seconds(plain))
-    return best_ckpt / best_plain - 1.0
+        return paired_overhead(plain, checkpointed, pairs=pairs)
 
 
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="fast bounded check (CI): fewer samples/rounds")
+                        help="fast bounded check (CI): fewer samples")
     parser.add_argument("--samples", type=int, default=None,
                         help="stream length (default 16384; 8192 with --smoke)")
-    parser.add_argument("--rounds", type=int, default=None,
-                        help="timing rounds per variant (default 15; 7 with --smoke)")
-    parser.add_argument("--attempts", type=int, default=3,
-                        help="re-measure up to this many times before failing")
+    parser.add_argument("--rounds", type=int, default=PAIRS,
+                        help=f"alternated A/B pairs (default {PAIRS})")
     args = parser.parse_args(argv)
 
     n_samples = args.samples or (8192 if args.smoke else 16384)
-    rounds = args.rounds or (7 if args.smoke else 15)
-
-    ratio = float("inf")
-    for attempt in range(1, args.attempts + 1):
-        ratio = measure_overhead(n_samples=n_samples, rounds=rounds)
-        print(
-            f"attempt {attempt}: checkpoint-every-{CHECKPOINT_EVERY} overhead "
-            f"{ratio:+.2%} (bound {OVERHEAD_BOUND:.0%}, {n_samples} samples, "
-            f"best of {rounds})"
-        )
-        if ratio < OVERHEAD_BOUND:
-            print("OK: checkpointing is cheap on the hot path.")
-            return 0
-    print(f"FAIL: overhead {ratio:+.2%} exceeds {OVERHEAD_BOUND:.0%}.")
-    return 1
+    overhead = measure_overhead(n_samples=n_samples, pairs=args.rounds)
+    return report(
+        f"checkpoint-every-{CHECKPOINT_EVERY} ({n_samples} samples)",
+        overhead, OVERHEAD_BOUND, args.rounds,
+        "checkpointing is cheap on the hot path.",
+    )
 
 
 if __name__ == "__main__":

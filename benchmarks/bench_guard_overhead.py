@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
-from typing import Callable, List
+from typing import List
 
 import numpy as np
+from overhead import PAIRS, paired_overhead, report
 
 from repro.core.pipeline import NoDetectionPipeline
 from repro.datasets import DataStream
@@ -46,7 +46,7 @@ from repro.guard import RuntimeGuard
 from repro.oselm import MultiInstanceModel
 from repro.telemetry import configure
 
-#: Relative wall-time overhead allowed for a guard on a clean stream.
+#: Relative CPU overhead allowed for a guard on a clean stream.
 OVERHEAD_BOUND = 0.05
 
 D, H, C = 128, 22, 2
@@ -93,15 +93,9 @@ def test_guarded_clean_stream(benchmark):
 
 def test_overhead_within_bound():
     """Plain assertion (runs in the default suite, no --benchmark-only)."""
-    ratios = []
-    for _ in range(3):  # re-measure on noise: any clean attempt passes
-        ratios.append(measure_overhead(n_samples=4096, rounds=7))
-        if ratios[-1] < OVERHEAD_BOUND:
-            return
-    joined = ", ".join(f"{r:+.2%}" for r in ratios)
-    raise AssertionError(
-        f"clean-stream guard overhead exceeded {OVERHEAD_BOUND:.0%} in every "
-        f"attempt: {joined}"
+    overhead = measure_overhead(n_samples=4096, pairs=PAIRS)
+    assert overhead < OVERHEAD_BOUND, (
+        f"clean-stream guard overhead {overhead:+.2%} exceeds {OVERHEAD_BOUND:.0%}"
     )
 
 
@@ -110,22 +104,8 @@ def test_overhead_within_bound():
 # --------------------------------------------------------------------------
 
 
-def _best_seconds(fn: Callable[[], object], rounds: int) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def measure_overhead(*, n_samples: int, rounds: int) -> float:
-    """Best-of-``rounds`` relative overhead of the guarded run.
-
-    The two variants are timed in interleaved rounds (A/B, A/B, ...) so
-    slow drift of the host (thermal, noisy neighbours) cancels out of the
-    best-of comparison; a warm-up round primes caches and allocators.
-    """
+def measure_overhead(*, n_samples: int, pairs: int) -> float:
+    """Relative CPU overhead of the guarded run (see ``overhead.py``)."""
     configure(enabled=False, sinks=[], reset=True)
     model, stream, X0 = make_fixture(n_samples=n_samples)
 
@@ -138,43 +118,26 @@ def measure_overhead(*, n_samples: int, rounds: int) -> float:
     # Warm-up + sanity: the guarded fast path must be byte-identical.
     a, b = guarded(), plain()
     assert a == b, "guarded and unguarded runs disagree on a clean stream"
-
-    best_plain = float("inf")
-    best_guarded = float("inf")
-    for _ in range(rounds):
-        best_guarded = min(best_guarded, _best_seconds(guarded, 1))
-        best_plain = min(best_plain, _best_seconds(plain, 1))
-    return best_guarded / best_plain - 1.0
+    return paired_overhead(plain, guarded, pairs=pairs)
 
 
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="fast bounded check (CI): fewer samples/rounds")
+                        help="fast bounded check (CI): fewer samples")
     parser.add_argument("--samples", type=int, default=None,
                         help="stream length (default 16384; 4096 with --smoke)")
-    parser.add_argument("--rounds", type=int, default=None,
-                        help="timing rounds per variant (default 15; 7 with --smoke)")
-    parser.add_argument("--attempts", type=int, default=3,
-                        help="re-measure up to this many times before failing")
+    parser.add_argument("--rounds", type=int, default=PAIRS,
+                        help=f"alternated A/B pairs (default {PAIRS})")
     args = parser.parse_args(argv)
 
     n_samples = args.samples or (4096 if args.smoke else 16384)
-    rounds = args.rounds or (7 if args.smoke else 15)
-
-    ratio = float("inf")
-    for attempt in range(1, args.attempts + 1):
-        ratio = measure_overhead(n_samples=n_samples, rounds=rounds)
-        print(
-            f"attempt {attempt}: clean-stream guard overhead {ratio:+.2%} "
-            f"(bound {OVERHEAD_BOUND:.0%}, {n_samples} samples, "
-            f"best of {rounds})"
-        )
-        if ratio < OVERHEAD_BOUND:
-            print("OK: the guard is free when the stream is clean.")
-            return 0
-    print(f"FAIL: overhead {ratio:+.2%} exceeds {OVERHEAD_BOUND:.0%}.")
-    return 1
+    overhead = measure_overhead(n_samples=n_samples, pairs=args.rounds)
+    return report(
+        f"clean-stream guard ({n_samples} samples)",
+        overhead, OVERHEAD_BOUND, args.rounds,
+        "the guard is free when the stream is clean.",
+    )
 
 
 if __name__ == "__main__":

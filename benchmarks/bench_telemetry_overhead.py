@@ -33,17 +33,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
-from typing import Callable, List
+from typing import List
 
 import numpy as np
+from overhead import PAIRS, overhead_of, paired_runs, report
 
 from repro.core.pipeline import NoDetectionPipeline, StepRecord
 from repro.datasets import DataStream
 from repro.oselm import MultiInstanceModel
 from repro.telemetry import RingBufferSink, configure
 
-#: Relative wall-time overhead allowed for disabled telemetry.
+#: Relative CPU overhead allowed for disabled telemetry.
 OVERHEAD_BOUND = 0.05
 
 D, H, C = 128, 22, 2
@@ -130,15 +130,9 @@ def test_instrumented_enabled_ring(benchmark):
 
 def test_overhead_within_bound():
     """Plain assertion (runs in the default suite, no --benchmark-only)."""
-    ratios = []
-    for _ in range(3):  # re-measure on noise: any clean attempt passes
-        ratios.append(measure_overhead(n_samples=4096, rounds=7))
-        if ratios[-1] < OVERHEAD_BOUND:
-            return
-    joined = ", ".join(f"{r:+.2%}" for r in ratios)
-    raise AssertionError(
-        f"disabled-telemetry overhead exceeded {OVERHEAD_BOUND:.0%} in every "
-        f"attempt: {joined}"
+    overhead = measure_overhead(n_samples=4096, pairs=PAIRS)
+    assert overhead < OVERHEAD_BOUND, (
+        f"disabled-telemetry overhead {overhead:+.2%} exceeds {OVERHEAD_BOUND:.0%}"
     )
 
 
@@ -147,21 +141,10 @@ def test_overhead_within_bound():
 # --------------------------------------------------------------------------
 
 
-def _best_seconds(fn: Callable[[], object], rounds: int) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _measure(*, n_samples: int, pairs: int) -> tuple:
+    """Alternated A/B pairs → (overhead, fastest instrumented CPU seconds).
 
-
-def _measure(*, n_samples: int, rounds: int) -> tuple:
-    """Best-of-``rounds`` timing → (overhead ratio, best instr s, best plain s).
-
-    The two variants are timed in interleaved rounds (A/B, A/B, ...) so
-    slow drift of the host (thermal, noisy neighbours) cancels out of the
-    best-of comparison; a warm-up round primes caches and allocators.
+    See ``overhead.py`` for the statistic.
     """
     configure(enabled=False, sinks=[], reset=True)
     model, stream = make_fixture(n_samples=n_samples)
@@ -177,30 +160,23 @@ def _measure(*, n_samples: int, rounds: int) -> tuple:
     assert [r._asdict() for r in a] == [r._asdict() for r in b], (
         "instrumented and uninstrumented runs disagree"
     )
-
-    best_plain = float("inf")
-    best_inst = float("inf")
-    for _ in range(rounds):
-        best_inst = min(best_inst, _best_seconds(instrumented, 1))
-        best_plain = min(best_plain, _best_seconds(plain, 1))
-    return best_inst / best_plain - 1.0, best_inst, best_plain
+    plain_times, inst_times = paired_runs(plain, instrumented, pairs=pairs)
+    return overhead_of(plain_times, inst_times), min(inst_times)
 
 
-def measure_overhead(*, n_samples: int, rounds: int) -> float:
-    """Best-of-``rounds`` relative overhead of the instrumented loop."""
-    return _measure(n_samples=n_samples, rounds=rounds)[0]
+def measure_overhead(*, n_samples: int, pairs: int) -> float:
+    """Relative CPU overhead of the instrumented loop."""
+    return _measure(n_samples=n_samples, pairs=pairs)[0]
 
 
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="fast bounded check (CI): fewer samples/rounds")
+                        help="fast bounded check (CI): fewer samples")
     parser.add_argument("--samples", type=int, default=None,
                         help="stream length (default 16384; 4096 with --smoke)")
-    parser.add_argument("--rounds", type=int, default=None,
-                        help="timing rounds per variant (default 15; 7 with --smoke)")
-    parser.add_argument("--attempts", type=int, default=3,
-                        help="re-measure up to this many times before failing")
+    parser.add_argument("--rounds", type=int, default=PAIRS,
+                        help=f"alternated A/B pairs (default {PAIRS})")
     parser.add_argument("--history", default=None, metavar="PATH",
                         help="perf-trajectory JSONL to append to "
                              "(default: ./BENCH_history.jsonl at the repo root)")
@@ -209,11 +185,8 @@ def main(argv: List[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     n_samples = args.samples or (4096 if args.smoke else 16384)
-    rounds = args.rounds or (7 if args.smoke else 15)
-
-    def record(ratio: float, best_inst: float) -> None:
-        if args.no_history:
-            return
+    overhead, best_inst = _measure(n_samples=n_samples, pairs=args.rounds)
+    if not args.no_history:
         from bench_history import DEFAULT_HISTORY, append_history
 
         append_history(
@@ -222,25 +195,14 @@ def main(argv: List[str] | None = None) -> int:
             "smoke" if args.smoke else "full",
             {
                 "samples_per_sec": n_samples / best_inst,
-                "overhead_ratio": ratio,
+                "overhead_ratio": overhead,
             },
         )
-
-    ratio, best_inst = float("inf"), float("inf")
-    for attempt in range(1, args.attempts + 1):
-        ratio, best_inst, _ = _measure(n_samples=n_samples, rounds=rounds)
-        print(
-            f"attempt {attempt}: disabled-telemetry overhead {ratio:+.2%} "
-            f"(bound {OVERHEAD_BOUND:.0%}, {n_samples} samples, "
-            f"best of {rounds})"
-        )
-        if ratio < OVERHEAD_BOUND:
-            record(ratio, best_inst)
-            print("OK: instrumentation is free when disabled.")
-            return 0
-    record(ratio, best_inst)
-    print(f"FAIL: overhead {ratio:+.2%} exceeds {OVERHEAD_BOUND:.0%}.")
-    return 1
+    return report(
+        f"disabled-telemetry ({n_samples} samples)",
+        overhead, OVERHEAD_BOUND, args.rounds,
+        "instrumentation is free when disabled.",
+    )
 
 
 if __name__ == "__main__":

@@ -23,7 +23,35 @@ import numpy as np
 from ..utils.exceptions import ConfigurationError
 from ..utils.validation import as_matrix, as_vector, check_labels, check_positive
 
-__all__ = ["CentroidSet"]
+__all__ = ["CentroidSet", "init_coord_rows"]
+
+
+def _total_pairwise_l1(coords: np.ndarray) -> float:
+    """Σ_{j<k} |coords[j] − coords[k]|₁ over all coordinate pairs."""
+    total = 0.0
+    for j in range(len(coords) - 1):
+        total += float(np.abs(coords[j + 1 :] - coords[j]).sum())
+    return total
+
+
+def init_coord_rows(recent: np.ndarray, x: np.ndarray) -> int:
+    """Algorithm 3 on a ``(C, D)`` array of recent coordinates, in place.
+
+    ``x`` is a validated row. Returns the index replaced, or -1.
+    """
+    best_label = -1
+    best = _total_pairwise_l1(recent)
+    for c in range(len(recent)):
+        saved = recent[c].copy()
+        recent[c] = x
+        d = _total_pairwise_l1(recent)
+        recent[c] = saved
+        if d > best:
+            best = d
+            best_label = c
+    if best_label != -1:
+        recent[best_label] = x
+    return best_label
 
 
 class CentroidSet:
@@ -119,6 +147,11 @@ class CentroidSet:
     def n_features(self) -> int:
         return self.trained.shape[1]
 
+    @property
+    def count_cap(self) -> int:
+        """``max_count``, or the largest int64 when uncapped (never reached)."""
+        return np.iinfo(np.int64).max if self.max_count is None else self.max_count
+
     # -- Algorithm 1 lines 12-14 -----------------------------------------------------
 
     def update(self, label: int, x: np.ndarray) -> None:
@@ -191,13 +224,6 @@ class CentroidSet:
 
     # -- Algorithm 3: Init_Coord ---------------------------------------------------------
 
-    def _total_pairwise_l1(self, coords: np.ndarray) -> float:
-        """Σ_{j<k} |coords[j] − coords[k]|₁ over all coordinate pairs."""
-        total = 0.0
-        for j in range(len(coords) - 1):
-            total += float(np.abs(coords[j + 1 :] - coords[j]).sum())
-        return total
-
     def init_coord(self, x: np.ndarray) -> int:
         """Greedy spread-maximising coordinate adoption (Algorithm 3).
 
@@ -210,19 +236,7 @@ class CentroidSet:
 
     def _init_coord(self, x: np.ndarray) -> int:
         """:meth:`init_coord` for a validated row."""
-        best_label = -1
-        best = self._total_pairwise_l1(self.recent)
-        for c in range(self.n_labels):
-            saved = self.recent[c].copy()
-            self.recent[c] = x
-            d = self._total_pairwise_l1(self.recent)
-            self.recent[c] = saved
-            if d > best:
-                best = d
-                best_label = c
-        if best_label != -1:
-            self.recent[best_label] = x
-        return best_label
+        return init_coord_rows(self.recent, x)
 
     # -- Algorithm 4: Update_Coord ----------------------------------------------------------
 

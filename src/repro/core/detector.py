@@ -153,12 +153,14 @@ class SequentialDriftDetector:
         or without drift). While the drift flag is raised every row is
         idle.
 
-        Idle rows are skipped with one vectorised threshold search; the
-        chunk is validated once, when its first window row is reached,
-        and window rows are folded into the centroids one by one. The
-        drift rate is evaluated when a window closes and once at the end
-        of the call, so :attr:`last_distance` is exact whenever control
-        returns to the caller.
+        Idle rows are skipped with one vectorised threshold search per
+        window (:meth:`_plan`); the chunk is validated once, when it has
+        window rows, and window rows are folded into the centroids one
+        by one. The drift rate is evaluated when a window closes and once
+        at the end of the call, so :attr:`last_distance` is exact
+        whenever control returns to the caller.
+        :func:`repro.core.lockstep.update_chunk_group` runs the same
+        steps for many detectors at once.
         """
         n = len(X)
         errors = np.asarray(errors, dtype=np.float64)
@@ -171,66 +173,98 @@ class SequentialDriftDetector:
         status = np.full(n, ROW_IDLE, dtype=np.int8)
         if self.drift:
             return status
+        segments, absorb = self._plan(errors)
+        if absorb is not None:
+            # An open window that is already full (only a hand-made
+            # state gets here) absorbs rows without updating.
+            status[absorb:] = ROW_CHECK
+        if not segments:
+            return status
         centroids = self.centroids
-        window = self.window_size
         tel = self.telemetry
         traced = tel.enabled
-        touched = stale = False
-        rows = None  # validated on the first window row, once per call
-        stop = n
+        rows, X = centroids._check_rows(labels, X)
+        for j, take, opened, closes in segments:
+            if opened:
+                self._open_window()
+                if traced:
+                    self._telemetry_opened(tel, float(errors[j]))
+            # Lines 12-15: sequential centroid updates for the window rows.
+            centroids._fold_rows(rows[j : j + take], X[j : j + take])
+            status[j : j + take] = ROW_CHECK
+            self._win += take
+            if closes:
+                status[j + take - 1] = ROW_CLOSED
+                drift = self._close_window(centroids.drift_distance())
+                if traced:
+                    self._telemetry_closed(tel, drift)
+                if drift:
+                    status = status[: j + take]
+                    break
+        if not closes:
+            self.last_distance = centroids.drift_distance()
+        if traced:
+            tel.registry.gauge(
+                "detector.distance", "current L1 centroid drift rate (Eq. 1 numerator)"
+            ).set(self.last_distance)
+        return status
+
+    def _plan(self, errors: np.ndarray):
+        """Where lines 8-16 fold and close windows over scored rows.
+
+        Returns ``(segments, absorb)``: one ``(start, take, opened,
+        closes)`` per run of window rows, in order — ``opened`` when the
+        run opens a window (lines 8-10), ``closes`` when it fills one
+        (line 16) — assuming no close raises the drift flag; and the row
+        from which an already-full window absorbs the rest, or ``None``.
+        Which rows are window rows depends on the scores alone; only the
+        drift decision at a close needs the folded centroids, and a
+        drift ends the chunk at that close. Mutates nothing.
+        """
+        n = len(errors)
+        window = self.window_size
+        check, win = self.check, self._win
+        segments = []
         j = 0
         while j < n:
-            if not self.check:
+            opened = not check
+            if opened:
                 # Lines 8-10: open a window on the next anomalous score.
                 hits = np.flatnonzero(errors[j:] >= self.theta_error)
                 if not len(hits):
                     break
                 j += int(hits[0])
-                self.check = True
-                self._win = 0
-                self.n_windows_opened += 1
-                if traced:
-                    self._telemetry_opened(tel, float(errors[j]))
-            take = min(window - self._win, n - j)
+                check, win = True, 0
+            take = min(window - win, n - j)
             if take <= 0:
-                # An open window that is already full (only a hand-made
-                # state gets here) absorbs rows without updating.
-                status[j:] = ROW_CHECK
-                break
-            # Lines 12-15: sequential centroid updates for the window rows.
-            if rows is None:
-                rows, X = centroids._check_rows(labels, X)
-            centroids._fold_rows(rows[j : j + take], X[j : j + take])
-            status[j : j + take] = ROW_CHECK
-            self._win += take
+                return segments, j
+            win += take
+            closes = win == window
+            segments.append((j, take, opened, closes))
             j += take
-            touched = stale = True
-            if self._win == window:
-                # Lines 16-19: end-of-window drift decision.
-                status[j - 1] = ROW_CLOSED
-                self.last_distance = centroids.drift_distance()
-                stale = False
-                self.check = False
-                drift = self.last_distance >= self.theta_drift
-                if drift:
-                    self.drift = True
-                    self.n_drifts += 1
-                else:
-                    # Idle again: ``win`` honours its "0 when idle"
-                    # contract (on drift, ``end_drift`` resets it).
-                    self._win = 0
-                if traced:
-                    self._telemetry_closed(tel, drift)
-                if drift:
-                    stop = j
-                    break
-        if stale:
-            self.last_distance = centroids.drift_distance()
-        if traced and touched:
-            tel.registry.gauge(
-                "detector.distance", "current L1 centroid drift rate (Eq. 1 numerator)"
-            ).set(self.last_distance)
-        return status[:stop]
+            if closes:
+                check, win = False, 0
+        return segments, None
+
+    def _open_window(self) -> None:
+        """Lines 9-10: the check flag goes up on an anomalous score."""
+        self.check = True
+        self._win = 0
+        self.n_windows_opened += 1
+
+    def _close_window(self, distance: float) -> bool:
+        """Lines 16-19 for a full window with drift rate ``distance``;
+        returns whether it raised the drift flag."""
+        self.last_distance = distance
+        self.check = False
+        if distance >= self.theta_drift:
+            self.drift = True
+            self.n_drifts += 1
+            return True
+        # Idle again: ``win`` honours its "0 when idle" contract (on
+        # drift, ``end_drift`` resets it).
+        self._win = 0
+        return False
 
     def _telemetry_opened(self, tel: Telemetry, error: float) -> None:
         tel.registry.counter(

@@ -245,17 +245,29 @@ class StreamPipeline(abc.ABC):
             checkpoint_every=checkpoint_every,
         )
 
-    def _process_chunk(self, Xc: np.ndarray, yc: np.ndarray) -> List[StepRecord]:
+    def _process_chunk(
+        self, Xc: np.ndarray, yc: np.ndarray, scored=None
+    ) -> List[StepRecord]:
         """Consume a non-empty prefix of the chunk; returns its records.
 
-        The base implementation has no fast path and simply streams the
-        whole chunk through :meth:`process_one` (ONLAD trains on every
-        sample, so nothing can be batched there). The detecting pipelines
-        override this to score the chunk in one pass, run their detector
-        over the scored rows up to a detection, and reconstruct through
+        ``scored`` is ``(labels, scores)`` for the chunk's rows against
+        the model as it stands (a fleet group scores its members' rows in
+        one stacked pass), or ``None`` to score them here. The base
+        implementation has no fast path and simply streams the whole
+        chunk through :meth:`process_one` (ONLAD trains on every sample,
+        so nothing can be batched there). The other pipelines override
+        this to score the chunk in one pass, run their detector over the
+        scored rows up to a detection, and reconstruct through
         :meth:`_reconstruct_chunk`.
         """
         return [self.process_one(Xc[j], int(yc[j])) for j in range(len(Xc))]
+
+    def _score_chunk(self, Xc: np.ndarray, scored):
+        """``scored``, or the model's ``(labels, scores)`` for ``Xc``
+        (predictions not yet counted)."""
+        if scored is None:
+            return self.model.predict_with_score_batch(Xc, count=False)
+        return scored
 
     def _reconstruct_chunk(
         self, Xc: np.ndarray, yc, *, drift_detected: bool = False
@@ -313,17 +325,18 @@ class StreamPipeline(abc.ABC):
         """
 
     def prefers_batched_scoring(self) -> bool:
-        """Would cross-session batched scoring pay off *right now*?
+        """Can a fleet group score this pipeline's pending rows up front?
 
-        The fleet's :class:`~repro.fleet.batching.BatchPlanner` asks this
-        before stacking a session's pending rows into a shared forward
-        pass (see :func:`~repro.oselm.ensemble.MultiInstanceModel.prime_scores`).
-        ``True`` means the model is not expected to mutate while the
-        primed rows are consumed — a pure heuristic: priming stays
-        *correct* either way, because any training step invalidates the
-        primed cache and scoring falls back to the computed path.
-        The base answer is ``False`` (unknown pipelines, and ONLAD —
-        which trains on every sample — fall back to sequential scoring).
+        The fleet's :class:`~repro.fleet.batching.BatchGroup` asks this
+        before stacking a session's pending rows into the group's shared
+        forward pass. ``True`` means the model will not change before
+        the next row is scored, so the stacked ``(labels, scores)`` are
+        handed to :meth:`_process_chunk` as its ``scored`` argument. The
+        group stops passing a member's scores once a step of it has
+        reconstructed, and an in-flight reconstruction answers ``False``;
+        the member then scores its rows itself. The base answer is
+        ``False``: unknown pipelines, and ONLAD — which trains on every
+        sample — stay off the group step.
         """
         return False
 
@@ -469,9 +482,10 @@ class NoDetectionPipeline(StreamPipeline):
         c, err = self.model.predict_with_score(x)
         return self._record(c, err, y_true)
 
-    def _process_chunk(self, Xc: np.ndarray, yc: np.ndarray) -> List[StepRecord]:
+    def _process_chunk(self, Xc: np.ndarray, yc: np.ndarray, scored=None) -> List[StepRecord]:
         # The model is frozen, so every chunk is one batched forward pass.
-        labels, scores = self.model.predict_with_score_batch(Xc)
+        labels, scores = self._score_chunk(Xc, scored)
+        self.model.count_predictions(len(labels))
         return self._record_rows(
             labels.tolist(), scores.tolist(), _label_list(yc, len(labels)), "predict"
         )
@@ -537,7 +551,7 @@ class ProposedPipeline(StreamPipeline):
         x = as_matrix(x, name="x", n_features=self.model.n_features)
         return self._process_chunk(x, (y_true,))[0]
 
-    def _process_chunk(self, Xc: np.ndarray, yc) -> List[StepRecord]:
+    def _process_chunk(self, Xc: np.ndarray, yc, scored=None) -> List[StepRecord]:
         # Lines 20-21: while the drift flag is up the stream drives
         # reconstruction.
         if self.detector.drift:
@@ -547,32 +561,36 @@ class ProposedPipeline(StreamPipeline):
         # scores stay valid up to and including the row that raises the
         # drift flag; that row is also the first one Reconstruct_Model
         # sees (line 21 runs in the same loop iteration).
-        labels, scores = self.model.predict_with_score_batch(Xc, count=False)
+        labels, scores = self._score_chunk(Xc, scored)
         status = self.detector.update_chunk(Xc, labels, scores)
+        recs = self._detected_rows(labels, scores, yc, status)
+        if self.detector.drift:
+            n = len(recs)
+            recs += self._reconstruct_chunk(
+                Xc[n : n + 1], yc[n : n + 1], drift_detected=True
+            )
+        return recs
+
+    def _detected_rows(self, labels, scores, yc, status) -> List[StepRecord]:
+        """Records of the rows Algorithm 1 consumed (``status``, one code
+        per row), up to but excluding a row that raised the drift flag."""
         self.n_mutations += int(np.count_nonzero(status))
-        drifted = self.detector.drift
-        n = len(status) - int(drifted)
+        n = len(status) - int(self.detector.drift)
         self.model.count_predictions(n)
-        recs = self._record_rows(
+        return self._record_rows(
             labels[:n].tolist(),
             scores[:n].tolist(),
             _label_list(yc, n),
             [_ROW_PHASES[code] for code in status[:n].tolist()],
         )
-        if drifted:
-            recs += self._reconstruct_chunk(
-                Xc[n : n + 1], yc[n : n + 1], drift_detected=True
-            )
-        return recs
 
     def _end_reconstruction(self) -> None:
         self.detector.end_drift()
 
     def prefers_batched_scoring(self) -> bool:
         # Reconstruction (the drift flag) trains on every sample; the
-        # check window only updates detector statistics, so primed scores
-        # stay valid through it and _process_chunk consumes them in one
-        # slice, check window or not.
+        # check window only updates detector statistics, so scores taken
+        # up front stay valid through it, check window or not.
         return not self.detector.drift
 
     def state_nbytes(self) -> int:
@@ -655,13 +673,13 @@ class BatchDetectorPipeline(StreamPipeline):
         x = as_matrix(x, name="x", n_features=self.model.n_features)
         return self._process_chunk(x, (y_true,))[0]
 
-    def _process_chunk(self, Xc: np.ndarray, yc) -> List[StepRecord]:
+    def _process_chunk(self, Xc: np.ndarray, yc, scored=None) -> List[StepRecord]:
         if self._reconstructing:
             return self._reconstruct_chunk(Xc, yc)
         # Buffering and refitting never touch the model, so the chunk is
         # scored at once; only a detection (which starts reconstruction)
         # ends it early.
-        labels, scores = self.model.predict_with_score_batch(Xc, count=False)
+        labels, scores = self._score_chunk(Xc, scored)
         if self._refitting:
             return self._refit_chunk(Xc, yc, labels, scores)
         n = len(labels)
@@ -793,13 +811,13 @@ class ErrorRatePipeline(StreamPipeline):
         x = as_matrix(x, name="x", n_features=self.model.n_features)
         return self._process_chunk(x, (y_true,))[0]
 
-    def _process_chunk(self, Xc: np.ndarray, yc) -> List[StepRecord]:
+    def _process_chunk(self, Xc: np.ndarray, yc, scored=None) -> List[StepRecord]:
         if self._reconstructing:
             return self._reconstruct_chunk(Xc, yc)
         # The model is only mutated by reconstruction, so chunk scores stay
         # valid up to (and including) the sample that fires the detector;
         # the detector itself is still fed sample by sample.
-        labels, scores = self.model.predict_with_score_batch(Xc, count=False)
+        labels, scores = self._score_chunk(Xc, scored)
         predicted = labels.tolist()
         n = len(predicted)
         ys = _label_list(yc, n)

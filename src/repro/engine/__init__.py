@@ -41,7 +41,7 @@ from .registry import (
     resolve_detector,
     resolve_pipeline,
 )
-from .session import StreamSession
+from .session import StreamSession, drive_group
 from .spec import (
     Experiment,
     ExperimentSpec,
@@ -60,6 +60,7 @@ __all__ = [
     "CheckpointInterceptor",
     "StreamEngine",
     "StreamSession",
+    "drive_group",
     "default_stack",
     "run_stream",
     "resume_stream",

@@ -47,8 +47,11 @@ __all__ = [
     "TelemetryInterceptor",
 ]
 
-#: Signature of one link of the per-chunk consume chain.
-Consume = Callable[[np.ndarray, np.ndarray], list]
+#: Signature of one link of the per-chunk consume chain: ``(Xc, yc)``,
+#: optionally followed by the rows' precomputed ``(labels, scores)``
+#: (``StreamPipeline._process_chunk``'s ``scored``), which a link passes
+#: on unchanged.
+Consume = Callable[..., list]
 
 
 class Interceptor:
@@ -118,10 +121,10 @@ class GuardInterceptor(Interceptor):
     def wrap_consume(self, ctx: RunContext, consume: Consume) -> Consume:
         pipeline = ctx.pipeline
 
-        def dispatch(Xc: np.ndarray, yc: np.ndarray) -> list:
+        def dispatch(Xc: np.ndarray, yc: np.ndarray, *scored) -> list:
             guard = pipeline.guard
             if guard is None:
-                return consume(Xc, yc)
+                return consume(Xc, yc, *scored)
             return guard.process_chunk(Xc, yc)
 
         return dispatch
@@ -165,9 +168,9 @@ class TelemetryInterceptor(Interceptor):
         tel = self.telemetry
         name = ctx.pipeline.name
 
-        def traced(Xc: np.ndarray, yc: np.ndarray) -> list:
+        def traced(Xc: np.ndarray, yc: np.ndarray, *scored) -> list:
             with tel.span("pipeline.chunk", pipeline=name, start=ctx.position):
-                return consume(Xc, yc)
+                return consume(Xc, yc, *scored)
 
         return traced
 

@@ -28,7 +28,6 @@ eviction).
 
 from __future__ import annotations
 
-import time
 from contextlib import ExitStack
 from typing import List, Optional, Sequence
 
@@ -39,7 +38,7 @@ from .context import RunContext
 from .core import drive_chunks, prepare_stack
 from .interceptors import Interceptor
 
-__all__ = ["StreamSession"]
+__all__ = ["StreamSession", "drive_group"]
 
 _EMPTY_X = np.empty((0, 1), dtype=np.float64)
 _EMPTY_Y = np.empty((0,), dtype=np.int64)
@@ -92,13 +91,6 @@ class StreamSession:
         self._scopes: Optional[ExitStack] = None
         self._prepared = None
         self._finished = False
-        #: number of :meth:`feed` calls that ran to completion.
-        self.feeds = 0
-        #: cumulative wall time spent inside :meth:`feed`.
-        self.feed_seconds = 0.0
-        #: wall time of the most recent :meth:`feed` — the session-level
-        #: latency signal the serving admission controller samples.
-        self.last_feed_seconds = 0.0
 
     # -- introspection ---------------------------------------------------------
 
@@ -151,6 +143,22 @@ class StreamSession:
         the same clamp → consume → observe loop as a whole-stream run,
         so schedulers still split it and guards still screen it.
         """
+        Xc, yc = self._check_chunk(Xc, yc)
+        if len(Xc) == 0:
+            return []
+        ctx = self.ctx
+        base, stop, before = self._begin_chunk(Xc, yc)
+        consume, clampers, observers = self._prepared
+        try:
+            drive_chunks(
+                ctx, consume, clampers, observers, Xc, yc, base=base, stop=stop
+            )
+        except BaseException:
+            self._teardown(ok=False)
+            raise
+        return ctx.records[before:]
+
+    def _check_chunk(self, Xc, yc):
         if self._scopes is None:
             raise ConfigurationError(
                 "session is not open (open() it, or it was already closed)."
@@ -161,27 +169,16 @@ class StreamSession:
             raise ConfigurationError(
                 f"chunk has {len(Xc)} samples but {len(yc)} labels."
             )
-        if len(Xc) == 0:
-            return []
+        return Xc, yc
+
+    def _begin_chunk(self, Xc, yc):
+        """Point the context at a new chunk; returns ``(base, stop,
+        records before it)``."""
         ctx = self.ctx
         base = ctx.position
-        stop = base + len(Xc)
         ctx.X, ctx.y = Xc, yc
-        ctx.n = stop
-        before = len(ctx.records)
-        consume, clampers, observers = self._prepared
-        t0 = time.perf_counter()
-        try:
-            drive_chunks(
-                ctx, consume, clampers, observers, Xc, yc, base=base, stop=stop
-            )
-        except BaseException:
-            self._teardown(ok=False)
-            raise
-        self.last_feed_seconds = time.perf_counter() - t0
-        self.feed_seconds += self.last_feed_seconds
-        self.feeds += 1
-        return ctx.records[before:]
+        ctx.n = base + len(Xc)
+        return base, ctx.n, len(ctx.records)
 
     def close(self) -> list:
         """Fire ``on_complete``, exit the scopes; returns all records.
@@ -209,3 +206,79 @@ class StreamSession:
                     ic.on_abort(self.ctx)
         finally:
             scopes.close()
+
+
+def drive_group(sessions: Sequence[StreamSession], chunks, step) -> List[list]:
+    """Feed several open sessions their arriving chunks in one pass.
+
+    ``chunks[k]`` lists session ``k``'s chunks ``(Xc, yc)`` in arrival
+    order. The driver runs in rounds. Each round clamps the next slice
+    of every session with samples left, exactly as
+    :func:`~repro.engine.core.drive_chunks` would, and hands all of them
+    to ``step`` at once as ``(k, consume, Xs, ys)`` tuples, where
+    ``consume`` is session ``k``'s consume chain. ``step`` returns one
+    record list per slice: a non-empty prefix of it, as the chain would
+    have consumed. Records, position and ``after_chunk`` observers are
+    then handled per session as ``drive_chunks`` does, and a session
+    moves on to its next chunk once the current one is consumed.
+
+    Returns, per session, one record list per chunk: what :meth:`feed`
+    would have returned for it. A round that raises tears down every
+    session in it before the exception propagates, as :meth:`feed` does
+    for its one session.
+    """
+    queues = [
+        [session._check_chunk(Xc, yc) for Xc, yc in session_chunks][::-1]
+        for session, session_chunks in zip(sessions, chunks)
+    ]
+    out: List[list] = [[] for _ in sessions]
+    current: list = [None] * len(sessions)
+
+    def advance(k: int) -> bool:
+        """Start session ``k``'s next non-empty chunk; False when done."""
+        while queues[k]:
+            Xc, yc = queues[k].pop()
+            if len(Xc):
+                current[k] = (Xc, yc, *sessions[k]._begin_chunk(Xc, yc))
+                return True
+            out[k].append([])
+        return False
+
+    active = [k for k in range(len(sessions)) if advance(k)]
+    while active:
+        slices = []
+        for k in active:
+            ctx = sessions[k].ctx
+            Xc, yc, base, stop, _ = current[k]
+            i = ctx.position
+            take = stop - i
+            for ic in sessions[k]._prepared[1]:
+                take = ic.clamp(ctx, take)
+            lo = i - base
+            slices.append(
+                (k, sessions[k]._prepared[0], Xc[lo : lo + take], yc[lo : lo + take])
+            )
+        try:
+            results = step(slices)
+            for (k, _, _, _), recs in zip(slices, results):
+                ctx = sessions[k].ctx
+                ctx.records.extend(recs)
+                ctx.position += len(recs)
+                for ic in sessions[k]._prepared[2]:
+                    ic.after_chunk(ctx, recs)
+        except BaseException:
+            for k in active:
+                sessions[k]._teardown(ok=False)
+            raise
+        still = []
+        for k in active:
+            _, _, _, stop, before = current[k]
+            ctx = sessions[k].ctx
+            if ctx.position < stop:
+                still.append(k)
+                continue
+            out[k].append(ctx.records[before:])
+            if advance(k):
+                still.append(k)
+        active = still
+    return out

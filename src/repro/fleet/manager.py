@@ -35,7 +35,7 @@ from ..engine.interceptors import (
     GuardInterceptor,
     TelemetryInterceptor,
 )
-from ..engine.session import StreamSession
+from ..engine.session import StreamSession, drive_group
 from ..engine.spec import ExperimentSpec, restore_pipeline
 from ..utils.exceptions import (
     CheckpointError,
@@ -249,9 +249,12 @@ class FleetManager:
         self._check_open()
         if device_id in self._quarantined:
             raise DeviceQuarantinedError(device_id, self._quarantined[device_id])
-        session = self._touch(device_id)
-        records = session.feed(Xc, yc)
-        n = len(Xc)
+        records = self._touch(device_id).feed(Xc, yc)
+        self._count_chunk(device_id, len(Xc), records)
+        return records
+
+    def _count_chunk(self, device_id: str, n: int, records: list) -> None:
+        """Stats and per-device telemetry for one consumed chunk."""
         self.stats.samples += n
         self.stats.chunks += 1
         self.stats.device_samples[device_id] = (
@@ -271,12 +274,11 @@ class FleetManager:
                 tel.counter(
                     "fleet.device.drifts", "drift detections per device", labels=("device",)
                 ).inc(drifts, device=device_id)
-        return records
 
     def submit_many(
         self, batch: List[tuple], *, contain_errors: bool = False
     ) -> List[list]:
-        """Feed many arriving chunks, batching the forward passes.
+        """Feed many arriving chunks, stepping same-model devices together.
 
         ``batch`` is a list of ``(device_id, Xc, yc)`` in arrival order;
         the return value is the per-submission record lists, parallel to
@@ -294,30 +296,31 @@ class FleetManager:
         With it on, the batch is cut into *windows* of at most
         ``capacity`` distinct devices (so the whole window can be
         resident at once — evictions happen while touching, before any
-        priming). Each window's sessions are grouped by
-        :func:`~repro.fleet.batching.model_signature`; every group is
-        scored in one stacked GEMM and primed, then the window feeds
-        sequentially as usual, with each pipeline consuming its primed
-        rows. Ineligible sessions (guard attached, reconstruction or
-        refit in flight, per-sample trainers) fall back to the
-        sequential path — and records stay byte-identical
-        either way (the batched golden suite pins this).
+        step). Each window's sessions are grouped by
+        :func:`~repro.fleet.batching.model_signature`. Every group scores
+        its members' rows in one stacked GEMM (:meth:`BatchGroup.prime`)
+        and then runs one group step per round
+        (:func:`~repro.engine.drive_group` over :meth:`BatchGroup.step`),
+        which steps the proposed pipelines' Algorithms 1–2 in lockstep.
+        Sessions outside any group (guard attached, foreign model,
+        per-sample trainers) feed one by one — and records stay
+        byte-identical either way (the batched golden suite pins this).
         """
         self._check_open()
         if not self.batch_scoring:
             if not contain_errors:
                 return [self.submit(dev, Xc, yc) for dev, Xc, yc in batch]
             return [self._submit_contained(dev, Xc, yc) for dev, Xc, yc in batch]
-        out: List[list] = []
+        out: List = [None] * len(batch)
         start = 0
         while start < len(batch):
             stop = start
-            window_devices: Dict[str, List[np.ndarray]] = {}
+            window_devices: Dict[str, List[int]] = {}
             while stop < len(batch):
                 device_id = str(batch[stop][0])
                 if contain_errors and device_id in self._quarantined:
-                    # Not primed (priming would resurrect its session);
-                    # its submit below yields the contained None.
+                    # Not touched (that would resurrect its session); its
+                    # submit below yields the contained None.
                     stop += 1
                     continue
                 if (
@@ -325,22 +328,23 @@ class FleetManager:
                     and len(window_devices) >= self.capacity
                 ):
                     break
-                window_devices.setdefault(device_id, []).append(
-                    np.asarray(batch[stop][1], dtype=np.float64)
-                )
+                window_devices.setdefault(device_id, []).append(stop)
                 stop += 1
-            self._prime_window(window_devices, contain_errors=contain_errors)
-            for dev, Xc, yc in batch[start:stop]:
+            stepped = self._step_window(
+                batch, window_devices, out, contain_errors=contain_errors
+            )
+            for pos in range(start, stop):
+                if pos in stepped:
+                    continue
+                dev, Xc, yc = batch[pos]
                 if contain_errors:
-                    out.append(self._submit_contained(dev, Xc, yc))
+                    out[pos] = self._submit_contained(dev, Xc, yc)
                 else:
-                    out.append(self.submit(dev, Xc, yc))
-            for device_id in window_devices:
-                session = self._resident.get(device_id)
-                if session is not None:
-                    model = getattr(session.pipeline, "model", None)
-                    if model is not None:
-                        model.clear_primed()
+                    out[pos] = self.submit(dev, Xc, yc)
+            # Leave the LRU as one submit per chunk, in arrival order, would.
+            for entry in batch[start:stop]:
+                if str(entry[0]) in self._resident:
+                    self._resident.move_to_end(str(entry[0]))
             start = stop
         return out
 
@@ -351,25 +355,35 @@ class FleetManager:
         except DeviceQuarantinedError:
             return None
 
-    def _prime_window(
+    def _step_window(
         self,
-        window_devices: Dict[str, List[np.ndarray]],
+        batch: List[tuple],
+        window_devices: Dict[str, List[int]],
+        out: List,
         *,
         contain_errors: bool = False,
-    ) -> None:
-        """Group one window's pending rows, run the GEMMs, prime models."""
+    ) -> set:
+        """Group one window's sessions and run their group steps.
+
+        Fills ``out`` for every chunk a group consumed and returns their
+        positions in ``batch``; the caller feeds the rest one by one.
+        """
         items = []
-        for device_id, chunks in window_devices.items():
+        for device_id, positions in window_devices.items():
+            if device_id in self._quarantined:
+                continue  # its submit raises (or yields the contained None)
             try:
                 session = self._touch(device_id)
             except DeviceQuarantinedError:
                 if not contain_errors:
                     raise
                 continue  # benched by a corrupt restore; submit contains it
+            chunks = [np.asarray(batch[pos][1], dtype=np.float64) for pos in positions]
             rows = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
             items.append((device_id, session.pipeline, rows))
         groups, fallback = self._planner.plan(items)
         tel = self.telemetry
+        stepped = set()
         for group in groups:
             t0 = time.perf_counter()
             n = group.prime()
@@ -391,6 +405,20 @@ class FleetManager:
                     "samples scored via the batched vs sequential path",
                     labels=("path",),
                 ).inc(n, path="batched")
+            member_ids = [device_id for device_id, _ in group.members]
+            results = drive_group(
+                [self._resident[device_id] for device_id in member_ids],
+                [
+                    [(batch[pos][1], batch[pos][2]) for pos in window_devices[device_id]]
+                    for device_id in member_ids
+                ],
+                group.step,
+            )
+            for device_id, per_chunk in zip(member_ids, results):
+                for pos, records in zip(window_devices[device_id], per_chunk):
+                    out[pos] = records
+                    stepped.add(pos)
+                    self._count_chunk(device_id, len(batch[pos][1]), records)
         fallback_samples = sum(n for _, n in fallback)
         if fallback_samples:
             self.stats.fallback_samples += fallback_samples
@@ -400,6 +428,7 @@ class FleetManager:
                     "samples scored via the batched vs sequential path",
                     labels=("path",),
                 ).inc(fallback_samples, path="fallback")
+        return stepped
 
     def finish(self, device_id: str) -> list:
         """Close ``device_id``'s session and return its full record list.

@@ -15,7 +15,7 @@ continuously retrained on every sample.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -81,9 +81,6 @@ class MultiInstanceModel:
         self.forgetting_factor = forgetting_factor
         #: telemetry hub (the process default; reassign for private capture)
         self.telemetry: Telemetry = get_telemetry()
-        # Externally computed (label, score) rows keyed to a stream index;
-        # see prime_scores. Never checkpointed — purely a serving cache.
-        self._primed: Optional[tuple] = None
 
     @property
     def is_fitted(self) -> bool:
@@ -104,7 +101,6 @@ class MultiInstanceModel:
             raise ConfigurationError(
                 f"X has {len(X)} samples but y has {len(y)} labels."
             )
-        self._primed = None
         for c in range(self.n_labels):
             Xc = X[y == c]
             if len(Xc) == 0:
@@ -122,7 +118,6 @@ class MultiInstanceModel:
         trains (the centroid-labelled mode of Algorithm 2's third part).
         Returns the index of the instance that was trained.
         """
-        self._primed = None
         x = as_vector(x, name="x", n_features=self.n_features)
         if label is None:
             label = self.predict_one(x)
@@ -142,7 +137,6 @@ class MultiInstanceModel:
         step on its row. Unchecked: for a fitted model, an in-range int
         ``label`` and a validated 1-D ``x``. Returns ``label``.
         """
-        self._primed = None
         self.instances[label].core._step_hidden(hidden[label], x)
         self._count_training(label)
         return label
@@ -153,55 +147,6 @@ class MultiInstanceModel:
             tel.registry.counter(
                 "oselm.train", "sequential training steps", labels=("instance",)
             ).inc(instance=label)
-
-    # -- score priming (fleet batched scoring) ------------------------------------
-
-    def prime_scores(
-        self,
-        labels: np.ndarray,
-        scores: np.ndarray,
-        *,
-        base_index: int,
-        index_fn: Callable[[], int],
-    ) -> None:
-        """Install precomputed ``(label, score)`` rows for upcoming samples.
-
-        ``labels[k]``/``scores[k]`` must be exactly what
-        :meth:`predict_with_score` would return for the sample the owner
-        will present when ``index_fn()`` reads ``base_index + k`` (the
-        fleet primes with the row-stable :meth:`score_batch_many` kernel,
-        which is bit-identical to the scalar path). While the cache is
-        installed, :meth:`predict_with_score` and
-        :meth:`predict_with_score_batch` serve from it instead of
-        touching the instances; any training call (:meth:`fit_initial`,
-        :meth:`partial_fit_one`) or :meth:`set_state` invalidates it, and
-        an ``index_fn`` reading outside the primed range falls through to
-        the computed path. Correctness therefore never depends on the
-        caller predicting *whether* the model will mutate mid-chunk —
-        only on the primed values being right for the indices they cover.
-        """
-        labels = np.asarray(labels, dtype=np.int64)
-        scores = np.asarray(scores, dtype=np.float64)
-        if labels.shape != scores.shape or labels.ndim != 1:
-            raise ConfigurationError(
-                "primed labels/scores must be 1-D arrays of equal length."
-            )
-        self._primed = (labels, scores, int(base_index), index_fn)
-
-    def clear_primed(self) -> None:
-        """Drop any primed rows (idempotent)."""
-        self._primed = None
-
-    def _primed_offset(self, length: int) -> Optional[int]:
-        """Offset into the primed rows covering ``length`` samples, or None."""
-        primed = self._primed
-        if primed is None:
-            return None
-        labels, scores, base, index_fn = primed
-        off = index_fn() - base
-        if 0 <= off and off + length <= len(scores):
-            return off
-        return None
 
     # -- inference ----------------------------------------------------------------
 
@@ -218,12 +163,6 @@ class MultiInstanceModel:
 
     def predict_with_score(self, x: np.ndarray) -> tuple[int, float]:
         """``(label, anomaly_score)`` — Algorithm 1 lines 6-7 in one pass."""
-        if self._primed is not None:
-            off = self._primed_offset(1)
-            if off is not None:
-                labels, scores = self._primed[0], self._primed[1]
-                self.count_predictions(1)
-                return int(labels[off]), float(scores[off])
         scores = self.scores_one(x)
         c = int(scores.argmin())
         self.count_predictions(1)
@@ -295,14 +234,6 @@ class MultiInstanceModel:
         scores the rest again later, so it counts through
         :meth:`count_predictions` only the rows it consumed.
         """
-        if self._primed is not None:
-            n = len(np.asarray(X))
-            off = self._primed_offset(n)
-            if off is not None:
-                labels, scores = self._primed[0], self._primed[1]
-                if count:
-                    self.count_predictions(n)
-                return labels[off : off + n], scores[off : off + n]
         S = self.scores_rowwise(X)
         labels = S.argmin(axis=1)
         if count:
@@ -352,9 +283,9 @@ class MultiInstanceModel:
                 [model.instances[c] for model in models], X, owners
             )
         labels = S.argmin(axis=1)
-        # No oselm.predict increment here: the kernel *primes* scores; the
-        # prediction is counted when a pipeline consumes the primed row, so
-        # batched and sequential runs report identical counters.
+        # No oselm.predict increment here: a prediction is counted when a
+        # pipeline consumes its row, so batched and sequential runs report
+        # identical counters.
         return labels, S[np.arange(len(S)), labels]
 
     def state_nbytes(self) -> int:
@@ -369,7 +300,6 @@ class MultiInstanceModel:
 
     def set_state(self, state: dict) -> None:
         """Restore a :meth:`get_state` snapshot."""
-        self._primed = None
         instances = state["instances"]
         if len(instances) != self.n_labels:
             raise ConfigurationError(

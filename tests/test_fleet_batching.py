@@ -1,4 +1,4 @@
-"""Units for the fleet's batched scoring: signature, kernel, priming, plan.
+"""Units for the fleet's group step: signature, kernel, scoring, plan.
 
 The differential end-to-end proof lives in
 ``tests/test_fleet_batched_golden.py``; this file pins the pieces the
@@ -18,6 +18,7 @@ from repro.engine import ExperimentSpec, build_experiment
 from repro.fleet import FleetManager, FleetStats
 from repro.fleet.batching import BatchPlanner, model_signature
 from repro.oselm import MultiInstanceModel
+from repro.utils.exceptions import DeviceQuarantinedError
 
 
 def _fitted_model(seed, n_features=6, n_hidden=12, n_labels=2, **kwargs):
@@ -111,67 +112,55 @@ class TestScoreBatchMany:
 
 
 class TestScorePriming:
-    def _primed(self, model, X, at=0):
-        cursor = {"index": at}
-        labels, scores = model.predict_with_score_batch(X)
-        model.prime_scores(
-            labels, scores, base_index=at, index_fn=lambda: cursor["index"]
+    """``BatchGroup.prime`` scores up front; ``step`` hands each member its
+    slice of the scores as the ``scored`` argument of its chunk step."""
+
+    def _primed(self, pipelines, rows):
+        groups, _ = BatchPlanner().plan(
+            [(f"d{k}", p, r) for k, (p, r) in enumerate(zip(pipelines, rows))]
         )
-        return cursor
+        (group,) = groups
+        group.prime()
+        seen = []
+
+        def consume_for(pipe):
+            def consume(X, y, scored=None):
+                seen.append(scored)
+                return pipe._process_chunk(X, y, scored)
+
+            return consume
+
+        def step(k, X):
+            pipe = group.members[k][1]
+            y = np.zeros(len(X), dtype=np.int64)
+            return group.step([(k, consume_for(pipe), X, y)])[0]
+
+        return step, seen
 
     def test_scalar_consume_is_bit_identical(self):
         rng = np.random.default_rng(5)
-        model = _fitted_model(7)
         X = rng.normal(0.5, 0.3, size=(8, 6))
-        want = [model.predict_with_score(x) for x in X]
-        cursor = self._primed(model, X)
-        for k, x in enumerate(X):
-            cursor["index"] = k
-            label, score = model.predict_with_score(x)
-            assert (label, score) == want[k]
-            assert isinstance(label, int) and isinstance(score, float)
+        pipe = _pipeline("baseline", seed=1)
+        want = [pipe.model.predict_with_score(x) for x in X]
+        step, seen = self._primed([pipe], [X])
+        for k in range(len(X)):
+            recs = step(0, X[k : k + 1])
+            labels, scores = seen[-1]
+            assert (int(labels[0]), float(scores[0])) == want[k]
+            assert (recs[0].predicted, recs[0].anomaly_score) == want[k]
 
     def test_batch_consume_is_bit_identical(self):
         rng = np.random.default_rng(6)
-        model = _fitted_model(7)
         X = rng.normal(0.5, 0.3, size=(10, 6))
-        want_labels, want_scores = model.predict_with_score_batch(X)
-        cursor = self._primed(model, X)
-        cursor["index"] = 4
-        labels, scores = model.predict_with_score_batch(X[4:])
+        a = _pipeline("baseline", seed=1)
+        b = _pipeline("baseline", seed=2)
+        want_labels, want_scores = b.model.predict_with_score_batch(X)
+        step, seen = self._primed([a, b], [X[:3], X])
+        step(1, X[:4])
+        step(1, X[4:])
+        labels, scores = seen[-1]
         assert np.array_equal(labels, want_labels[4:])
         assert scores.tobytes() == want_scores[4:].tobytes()
-
-    def test_out_of_range_falls_through(self):
-        rng = np.random.default_rng(7)
-        model = _fitted_model(7)
-        X = rng.normal(0.5, 0.3, size=(4, 6))
-        cursor = self._primed(model, X)
-        cursor["index"] = 4  # past the primed rows
-        label, score = model.predict_with_score(X[0])
-        want = _fitted_model(7).predict_with_score(X[0])
-        assert (label, score) == want
-
-    @pytest.mark.parametrize("mutate", ["partial_fit_one", "fit_initial", "set_state"])
-    def test_training_invalidates(self, mutate):
-        rng = np.random.default_rng(8)
-        model = _fitted_model(7)
-        X = rng.normal(0.5, 0.3, size=(4, 6))
-        self._primed(model, X)
-        if mutate == "partial_fit_one":
-            model.partial_fit_one(X[0], 0)
-        elif mutate == "fit_initial":
-            model.fit_initial(rng.normal(0.5, 0.2, size=(20, 6)), np.arange(20) % 2)
-        else:
-            model.set_state(model.get_state())
-        assert model._primed is None
-
-    def test_clear_primed_is_idempotent(self):
-        model = _fitted_model(7)
-        model.clear_primed()
-        model.clear_primed()
-        assert model._primed is None
-
 
 class TestBatchPlanner:
     def test_groups_by_signature_not_shape(self):
@@ -215,7 +204,7 @@ class TestBatchPlanner:
         groups, fallback = BatchPlanner().plan([("a", pipe, np.empty((0, 6)))])
         assert not groups and not fallback
 
-    def test_group_prime_installs_primed_rows(self):
+    def test_group_prime_scores_every_scored_member(self):
         rng = np.random.default_rng(11)
         rows = rng.normal(0.5, 0.3, size=(5, 6))
         a = _pipeline("baseline", seed=1, model_seed=5)
@@ -224,9 +213,24 @@ class TestBatchPlanner:
         (group,) = groups
         assert group.n_samples == 8
         assert group.prime() == 8
-        for pipe, n in ((a, 5), (b, 3)):
-            labels, scores, base, _ = pipe.model._primed
-            assert base == pipe._index and len(scores) == n
+        for (labels, scores, base), pipe, n in zip(group._scored, (a, b), (5, 3)):
+            assert base == pipe._index and len(scores) == len(labels) == n
+
+    def test_reconstructing_member_joins_unscored(self):
+        rng = np.random.default_rng(12)
+        rows = rng.normal(0.5, 0.3, size=(5, 6))
+        clean = _pipeline("proposed", seed=1)
+        drifting = _pipeline("proposed", seed=2)
+        drifting.detector.drift = True
+        groups, fallback = BatchPlanner().plan(
+            [("clean", clean, rows), ("drifting", drifting, rows)]
+        )
+        (group,) = groups
+        assert group.device_ids == ["clean"]
+        assert group.unscored == [("drifting", drifting)]
+        assert [dev for dev, _ in group.members] == ["clean", "drifting"]
+        assert fallback == [("drifting", 5)]
+        assert group.prime() == 5
 
 
 class TestSubmitMany:
@@ -312,6 +316,25 @@ class TestSubmitMany:
             # 5 devices through capacity-2 windows -> 3 windows of GEMMs
             assert fm.stats.batch_groups == 3
             assert fm.stats.batched_samples == 150
+
+
+    def test_quarantined_device_is_refused_not_stepped(self, tmp_path):
+        specs = self._specs(("proposed", "proposed", "baseline"))
+        streams = self._streams(specs)
+        batch = [(dev, streams[dev].X[:30], streams[dev].y[:30]) for dev in specs]
+        with FleetManager(
+            capacity=4, spool_dir=tmp_path / "q", batch_scoring=True
+        ) as fm:
+            for dev, spec in specs.items():
+                fm.add_device(dev, spec)
+            fm.submit_many(batch)
+            fm.quarantine("dev1", "test")
+            with pytest.raises(DeviceQuarantinedError):
+                fm.submit_many(batch)
+            out = fm.submit_many(batch, contain_errors=True)
+            assert out[1] is None
+            assert "dev1" not in fm.resident
+            assert [len(out[0]), len(out[2])] == [30, 30]
 
 
 class TestFleetStatsBatchFields:

@@ -12,7 +12,12 @@ dispatch cost:
 * ``CentroidSet.update_rows`` vs the per-row running-mean fold, with
   and without a count cap that is reached in the middle of a block;
 * ``OSELMAutoencoder.score_batch_many`` vs gathering every row's beta
-  from a stacked tensor, with owners interleaved.
+  from a stacked tensor, with owners interleaved;
+* the lockstep kernels of :mod:`repro.core.lockstep` vs the per-device
+  kernels they stack: the fold vs ``CentroidSet._fold_rows`` (ragged
+  windows, a count cap hit mid-block, zero counts, ``-0.0`` rows), the
+  rank-1 step vs each core's ``_rank1_update`` (plain and forgetting,
+  many steps), and the cross-device instance scores vs ``scores_hidden``.
 
 Also pinned: ``model_signature`` follows a restore that swaps the
 random-layer weights, so batched scoring stays exact. Runs under the derandomized
@@ -29,6 +34,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core import CentroidSet
+from repro.core.lockstep import fold_lockstep, instance_scores, rank1_lockstep
 from repro.fleet import model_signature
 from repro.oselm import MultiInstanceModel, OSELMAutoencoder
 from repro.oselm.forgetting import ForgettingOSELM
@@ -310,3 +316,104 @@ class TestStackedInstanceScores:
             assert _bits(model.scores_hidden(H[:, j : j + 1], x)) == _bits(want)
             assert _bits(model.scores_hidden(model.hidden_rows(x), x)) == _bits(want)
             assert _bits(model.scores_one(x)) == _bits(want)
+
+
+# -- lockstep kernels --------------------------------------------------------------------------
+
+
+class TestLockstepFold:
+    @given(
+        seeds,
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.integers(1, 7),
+        st.sampled_from([None, 1, 3, 12]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ragged_windows_bit_equal_to_per_set_folds(self, seed, G, C, D, cap):
+        rng = np.random.default_rng(seed)
+        sets, ref = [], []
+        for _ in range(G):
+            trained = rng.normal(size=(C, D))
+            counts = rng.integers(0, 4, size=C)  # zero counts included
+            sets.append(CentroidSet(trained, counts, max_count=cap))
+            ref.append(CentroidSet(trained, counts, max_count=cap))
+        lens = rng.integers(0, 25, size=G)  # ragged; a set may have no rows
+        labels = [rng.integers(0, C, size=n) for n in lens]
+        rows = [rng.normal(size=(n, D)) * 10.0 for n in lens]
+        for X in rows:
+            X[rng.random(X.shape) < 0.2] = -0.0
+        recent = np.stack([cs.recent for cs in sets]).reshape(G * C, D)
+        counts = np.stack([cs.counts for cs in sets]).reshape(G * C)
+        caps = np.array([cs.count_cap for cs in sets], dtype=np.int64)
+        for t in range(int(lens.max(initial=0))):
+            live = np.flatnonzero(lens > t)
+            flat = live * C + np.array([labels[g][t] for g in live])
+            fold_lockstep(recent, counts, caps[live], flat, np.stack([rows[g][t] for g in live]))
+        for g, cs in enumerate(ref):
+            cs._fold_rows(labels[g].tolist(), rows[g])
+            assert _bits(recent.reshape(G, C, D)[g]) == _bits(cs.recent)
+            assert counts.reshape(G, C)[g].tolist() == cs.counts.tolist()
+
+    def test_cap_hit_mid_block_and_negative_zero(self):
+        trained = np.array([[0.5, -1.0], [2.0, 3.0]])
+        per_set = [CentroidSet(trained, np.array([3, 0]), max_count=5) for _ in range(2)]
+        X = np.linspace(-3.0, 3.0, 16).reshape(8, 2)
+        X[0] = -0.0
+        recent = np.stack([trained, trained]).reshape(4, 2)
+        counts = np.array([3, 0, 3, 0], dtype=np.int64)
+        caps = np.array([5, 5], dtype=np.int64)
+        for t in range(8):
+            fold_lockstep(recent, counts, caps, np.array([0, 3]), np.stack([X[t], X[t]]))
+        per_set[0]._fold_rows([0] * 8, X)
+        per_set[1]._fold_rows([1] * 8, X)
+        assert counts.tolist() == [11, 0, 3, 8]
+        assert _bits(recent[:2]) == _bits(per_set[0].recent)
+        assert _bits(recent[2:]) == _bits(per_set[1].recent)
+        assert np.signbit(recent[3, 0]) == np.signbit(per_set[1].recent[1, 0])
+
+
+class TestLockstepRankOne:
+    @given(seeds, st.integers(1, 8), st.integers(2, 24), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_stacked_step_bit_equal_to_each_core(self, seed, G, h, forgetting):
+        rng = np.random.default_rng(seed)
+        d = 6
+        cores = []
+        for g in range(G):
+            if forgetting:
+                core = ForgettingOSELM(d, h, d, forgetting_factor=0.9 + 0.01 * g, seed=seed)
+            else:
+                core = OSELM(d, h, d, seed=seed)
+            X0 = rng.uniform(0.0, 1.0, size=(2 * h + 4, d))
+            cores.append(core.fit_initial(X0, X0))
+        P = np.stack([c.P for c in cores])
+        B = np.stack([c.beta for c in cores])
+        factors = np.array([c.forgetting_factor for c in cores]) if forgetting else None
+        for _ in range(60):
+            X = rng.uniform(-1.0, 2.0, size=(G, d))
+            H = np.stack([c.layer.transform_one(x)[0] for c, x in zip(cores, X)])
+            for c, hrow, x in zip(cores, H, X):
+                c._rank1_update(hrow[None, :], x[None, :])
+            rank1_lockstep(P, B, H, X, factors)
+        for g, c in enumerate(cores):
+            assert _bits(P[g]) == _bits(c.P)
+            assert _bits(B[g]) == _bits(c.beta)
+
+
+class TestLockstepInstanceScores:
+    @given(seeds, st.integers(1, 6), st.integers(1, 4), st.sampled_from(["mse", "mae"]))
+    @settings(max_examples=30, deadline=None)
+    def test_cross_device_scores_bit_equal_to_scores_hidden(self, seed, G, C, metric):
+        rng = np.random.default_rng(seed)
+        models = []
+        for g in range(G):
+            X = rng.uniform(0.0, 1.0, size=(20 * C, 6))
+            model = MultiInstanceModel(6, 22, C, error_metric=metric, seed=seed)
+            models.append(model.fit_initial(X, np.arange(len(X)) % C))
+        Xt = rng.uniform(-0.5, 1.5, size=(G, 6))
+        hidden = np.stack([np.stack(m.hidden_rows(x))[:, 0] for m, x in zip(models, Xt)])
+        betas = np.stack([[inst.core.beta for inst in m.instances] for m in models])
+        got = instance_scores(hidden, betas, Xt, metric)
+        for g, (m, x) in enumerate(zip(models, Xt)):
+            assert _bits(got[g]) == _bits(m.scores_hidden(m.hidden_rows(x), x))

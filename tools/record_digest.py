@@ -17,7 +17,14 @@ samples, with telemetry off and on. For each cell the tool hashes every
 record field by value and type (floats by their bits) and the pipeline's
 ``get_state()`` after every chunk; with telemetry on it also hashes the
 deterministic drift/window/reconstruction events and every counter.
-The last line digests all cells together.
+
+Fleet cells then feed an eight-device proposed fleet (half of it
+drifting; default and forgetting-factor cores) through a
+:class:`~repro.fleet.FleetManager` with ``batch_scoring`` off and on, in
+interleaved 60-sample chunks, ten chunks per ``submit_many`` window and
+capacity 6, so evict/restore runs beside the group steps. A cell hashes
+every device's records and final ``get_state()``; the two settings must
+print the same digest. The last line digests all cells together.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import struct
 import sys
+import tempfile
 
 import numpy as np
 
@@ -39,9 +47,15 @@ from repro.core import (
     build_proposed,
     build_quanttree_pipeline,
 )
-from repro.datasets import NSLKDDConfig, make_cooling_fan_like, make_nslkdd_like
+from repro.datasets import (
+    NSLKDDConfig,
+    interleave_schedule,
+    make_cooling_fan_like,
+    make_nslkdd_like,
+)
 from repro.detectors import DDM
-from repro.engine import StreamSession, default_stack
+from repro.engine import StreamSession, build_experiment, default_stack, register_pipeline
+from repro.fleet import FleetManager, make_fleet_specs
 from repro.telemetry import RingBufferSink, configure, get_telemetry
 
 SEED = 3
@@ -94,6 +108,21 @@ STREAMS = {
 }
 
 
+def _fleet_forgetting(X, y, *, seed=None, **kwargs):
+    """The proposed pipeline on a forgetting-factor model, as a builder."""
+    base = build_proposed(X, y, seed=seed, **kwargs)
+    model = build_model(X, y, forgetting_factor=0.98, seed=seed)
+    return ProposedPipeline(
+        model, base.detector, ModelReconstructor(model, base.detector.centroids, n_total=120)
+    )
+
+
+register_pipeline("digest-proposed-forgetting", _fleet_forgetting, overwrite=True)
+
+#: fleet cell -> the pipeline its devices run
+FLEETS = {"fleet-proposed": "proposed", "fleet-forgetting": "digest-proposed-forgetting"}
+
+
 def _canon(obj, h) -> None:
     """Feed a value into ``h`` by type and content; floats by their bits."""
     h.update(type(obj).__name__.encode())
@@ -144,6 +173,33 @@ def run_cell(maker, train, test, chunk: int, telemetry: bool) -> str:
         configure(enabled=False, sinks=[], reset=True)
 
 
+def run_fleet_cell(pipeline: str, batch_scoring: bool) -> str:
+    """Digest of every device's records and final state in one fleet run."""
+    specs = make_fleet_specs(
+        8, seed=SEED, n_test=600, drift_fraction=0.5, drift_at=300, pipeline=pipeline
+    )
+    streams = {dev: build_experiment(spec).test for dev, spec in specs.items()}
+    ids = list(specs)
+    chunks = [
+        (ids[i], streams[ids[i]].X[lo:hi], streams[ids[i]].y[lo:hi])
+        for i, lo, hi in interleave_schedule([600] * len(ids), 60, seed=SEED)
+    ]
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as spool:
+        with FleetManager(capacity=6, spool_dir=spool, batch_scoring=batch_scoring) as fm:
+            for dev, spec in specs.items():
+                fm.add_device(dev, spec)
+            for lo in range(0, len(chunks), 10):
+                fm.submit_many(chunks[lo : lo + 10])
+            states = {dev: fm._touch(dev).pipeline.get_state() for dev in ids}
+            records = fm.finish_all()
+    for dev in ids:
+        for rec in records[dev]:
+            _canon(_record_fields(rec), h)
+        _canon(states[dev], h)
+    return h.hexdigest()
+
+
 def main() -> int:
     total = hashlib.sha256()
     for label, factory in STREAMS.items():
@@ -156,6 +212,13 @@ def main() -> int:
                     tel = "on" if telemetry else "off"
                     print(f"{family:20s} {label:10s} chunk={chunk:<3d} tel={tel:3s} {digest}")
                     sys.stdout.flush()
+    for family, pipeline in FLEETS.items():
+        for batch_scoring in (False, True):
+            digest = run_fleet_cell(pipeline, batch_scoring)
+            total.update(digest.encode())
+            batch = "on" if batch_scoring else "off"
+            print(f"{family:20s} {'blobs':10s} batch={batch:3s}         {digest}")
+            sys.stdout.flush()
     print(f"{'ALL':20s} {total.hexdigest()}")
     return 0
 
