@@ -8,7 +8,7 @@ The package is layered (see DESIGN.md):
   model reconstruction, and the five evaluated pipelines;
 * :mod:`repro.oselm` — OS-ELM / forgetting-OS-ELM autoencoder substrate;
 * :mod:`repro.detectors` — Quant Tree, SPLL, DDM, ADWIN, Page-Hinkley;
-* :mod:`repro.clustering` — k-means / sequential k-means / GMM;
+* :mod:`repro.clustering` — k-means with k-means++ seeding;
 * :mod:`repro.datasets` — drift streams and the two (synthesised) paper
   datasets;
 * :mod:`repro.device` — Raspberry Pi 4 / Pico memory & latency models;

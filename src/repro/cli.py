@@ -403,7 +403,7 @@ def cmd_fleet(args) -> None:
 
     server = None
     if args.serve_metrics is not None:
-        from .telemetry.httpd import MetricsServer
+        from .serving.server import IngestServer
 
         def _fleet_stats() -> dict:
             fm = live.get("manager")
@@ -429,8 +429,9 @@ def cmd_fleet(args) -> None:
                 return fm.health()
             return {"status": "ok", "devices": args.devices}
 
-        server = MetricsServer(
-            args.serve_metrics,
+        server = IngestServer(
+            None,
+            port=args.serve_metrics,
             health_provider=_health,
             fleet_provider=_fleet_stats,
         ).start()

@@ -1,14 +1,8 @@
-"""From-scratch clustering substrate: k-means, sequential k-means, GMM."""
+"""From-scratch clustering substrate: k-means with k-means++ seeding."""
 
-from .gmm import GaussianMixture
 from .kmeans import KMeans, kmeans_plus_plus_init
-from .sequential import SequentialKMeans, ewma_update, sequential_mean_update
 
 __all__ = [
     "KMeans",
     "kmeans_plus_plus_init",
-    "SequentialKMeans",
-    "sequential_mean_update",
-    "ewma_update",
-    "GaussianMixture",
 ]

@@ -12,7 +12,6 @@ from .factory import (
     build_spll_pipeline,
     pipeline_from_state,
 )
-from .monitor import DriftEvent, DriftMonitor
 from .multi_window import MultiWindowDetector, MultiWindowStep
 from .pipeline import (
     BatchDetectorPipeline,
@@ -37,8 +36,6 @@ __all__ = [
     "DetectorStep",
     "ModelReconstructor",
     "ReconstructionStep",
-    "DriftMonitor",
-    "DriftEvent",
     "MultiWindowDetector",
     "MultiWindowStep",
     "StepRecord",

@@ -6,7 +6,6 @@ from .benchmarks import (
     make_sea_stream,
 )
 from .fleet import DevicePlan, ReplayPace, interleave_schedule, plan_fleet
-from .labeling import ClusterLabels, cluster_label
 from .coolingfan import (
     N_BINS,
     FanSpectrumModel,
@@ -45,8 +44,6 @@ __all__ = [
     "make_cooling_fan_like",
     "MinMaxScaler",
     "StandardScaler",
-    "ClusterLabels",
-    "cluster_label",
     "make_sea_stream",
     "make_hyperplane_stream",
     "make_rbf_drift_stream",

@@ -2,7 +2,6 @@
 
 from .adwin import ADWIN
 from .base import BatchDriftDetector, DriftState, ErrorRateDriftDetector
-from .cusum import CUSUM
 from .ddm import DDM
 from .eddm import EDDM
 from .ensemble import VotingDetectorEnsemble
@@ -29,7 +28,6 @@ __all__ = [
     "SPLL",
     "spll_statistic",
     "DDM",
-    "CUSUM",
     "EDDM",
     "ADWIN",
     "PageHinkley",

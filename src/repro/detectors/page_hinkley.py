@@ -1,7 +1,7 @@
 """Page–Hinkley test — a classic sequential change detector.
 
 Included as an additional error-rate baseline (the paper discusses the
-error-rate family in §2.2.2; Page–Hinkley is the textbook CUSUM-style
+error-rate family in §2.2.2; Page–Hinkley is the textbook cumulative-sum
 member). It monitors the cumulative deviation of a signal from its running
 mean and fires when the deviation exceeds ``threshold``:
 

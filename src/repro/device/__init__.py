@@ -11,7 +11,6 @@ from .memory import (
 )
 from .opcount import EXP_FLOPS, OpCount, StageCostModel
 from .energy import PI4_POWER, PICO_POWER, PowerProfile, battery_life_hours, energy_per_sample_mj
-from .quantize import quantize_array, quantize_model, quantize_pipeline, state_bytes_at
 from .profiles import RASPBERRY_PI_4, RASPBERRY_PI_PICO, DeviceProfile
 from .tracer import AllocationReport, measure_allocations
 from .timing import (
@@ -46,10 +45,6 @@ __all__ = [
     "PICO_POWER",
     "energy_per_sample_mj",
     "battery_life_hours",
-    "quantize_array",
-    "quantize_model",
-    "quantize_pipeline",
-    "state_bytes_at",
     "AllocationReport",
     "measure_allocations",
 ]

@@ -7,7 +7,6 @@ from .accuracy import (
     windowed_accuracy,
 )
 from .ascii_plots import ascii_scatter, hbar_chart, sparkline
-from .drift_eval import DriftEvaluation, evaluate_detections
 from .delay import DelayReport, delay_report, detection_delay, detection_indices
 from .parallel import (
     CellResult,
@@ -27,8 +26,6 @@ __all__ = [
     "sparkline",
     "hbar_chart",
     "ascii_scatter",
-    "DriftEvaluation",
-    "evaluate_detections",
     "DelayReport",
     "delay_report",
     "detection_delay",

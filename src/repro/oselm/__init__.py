@@ -1,7 +1,6 @@
 """On-device learnable neural substrate: OS-ELM, forgetting, autoencoders."""
 
 from .autoencoder import OSELMAutoencoder
-from .classifier import OSELMClassifier
 from .ensemble import MultiInstanceModel
 from .forgetting import ForgettingOSELM
 from .oselm import OSELM
@@ -13,6 +12,5 @@ __all__ = [
     "OSELM",
     "ForgettingOSELM",
     "OSELMAutoencoder",
-    "OSELMClassifier",
     "MultiInstanceModel",
 ]

@@ -11,14 +11,16 @@ One port serves both planes:
   (``?order=seq`` or first-come, ``?pop=0`` to peek), and
   ``GET /v1/ingest`` exposes queue introspection;
 * **observability plane** — ``/metrics``, ``/health``, ``/fleet`` and
-  ``/`` rendered by the same
-  :class:`~repro.telemetry.httpd.EndpointSuite` the scrape-only
-  :class:`~repro.telemetry.httpd.MetricsServer` uses, so Prometheus
-  scrapes the serving port directly.
+  ``/`` rendered by :class:`~repro.telemetry.httpd.EndpointSuite`, so
+  Prometheus scrapes the serving port directly.
 
-The server is a single asyncio loop on a daemon thread (same lifecycle
-API as ``MetricsServer``: ``start``/``stop``/``port``/``url``, context
-manager, port 0 = pick free). Handlers never block: ``offer`` and
+Without an ingest core the server is scrape-only: the ``/v1/...`` routes
+answer 404 and the observability plane works as above. That is how
+``python -m repro fleet --serve-metrics PORT`` serves its metrics.
+
+The server is a single asyncio loop on a daemon thread
+(``start``/``stop``/``port``/``url``, context manager, port 0 = pick
+free). Handlers never block: ``offer`` and
 ``results`` only take the core's lock — the fleet engine itself runs on
 the core's dispatcher thread, never on the loop.
 
@@ -82,11 +84,14 @@ def _content_length(value: Optional[str]) -> Optional[int]:
 
 
 class IngestServer:
-    """Serve an :class:`IngestCore` over HTTP/1.1 from an asyncio loop."""
+    """Serve an :class:`IngestCore` over HTTP/1.1 from an asyncio loop.
+
+    ``core=None`` serves only the observability endpoints.
+    """
 
     def __init__(
         self,
-        core: IngestCore,
+        core: Optional[IngestCore],
         *,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -100,8 +105,9 @@ class IngestServer:
             self.telemetry,
             health_provider=health_provider,
             fleet_provider=fleet_provider,
-            index_text=_INDEX,
         )
+        if core is not None:
+            self.endpoints.index_text = _INDEX
         self._requested = (host, int(port))
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -301,6 +307,8 @@ class IngestServer:
     ) -> Tuple[int, str, str, Optional[dict]]:
         path, _, query = target.partition("?")
         parts = [p for p in path.split("/") if p]
+        if self.core is None and parts[:1] == ["v1"]:
+            return 404, _JSON, '{"error": "no ingest core"}\n', None
         if len(parts) == 4 and parts[0] == "v1" and parts[1] == "devices":
             device_id, leaf = parts[2], parts[3]
             if leaf == "chunks" and method == "POST":

@@ -21,9 +21,9 @@ runtime visibility into exactly that:
 * cross-process aggregation — :class:`TelemetrySnapshot` captures of a
   registry (``snapshot()`` / ``snapshot_delta()``) merged back via
   ``merge()``, so worker-process metrics land in the parent hub;
-* :class:`MetricsServer` (:mod:`repro.telemetry.httpd`) — a stdlib HTTP
-  daemon thread serving ``/metrics`` (Prometheus text), ``/health``, and
-  ``/fleet`` from a live hub;
+* :class:`~repro.telemetry.httpd.EndpointSuite` — renders ``/metrics``
+  (Prometheus text), ``/health`` and ``/fleet`` from a live hub for the
+  asyncio :class:`~repro.serving.server.IngestServer`;
 * drift provenance — the ``drift_audit`` event stream summarised by
   :func:`audit_report` / :func:`render_audit`
   (:mod:`repro.telemetry.audit`).
@@ -56,7 +56,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "TelemetrySnapshot",
-    "MetricsServer",
     "DEFAULT_TIME_BUCKETS",
     "EventSink",
     "RingBufferSink",
@@ -78,10 +77,4 @@ def __getattr__(name: str):
         from .report import render_summary
 
         return render_summary
-    if name == "MetricsServer":
-        # ``httpd`` pulls in ``http.server``; keep import-time cost off the
-        # hot path for processes that never serve metrics.
-        from .httpd import MetricsServer
-
-        return MetricsServer
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,8 +1,10 @@
-"""Live metrics endpoint: stdlib ``http.server``, zero new dependencies.
+"""Observability GET endpoints, rendered independently of any server.
 
-:class:`MetricsServer` serves the process-wide telemetry hub over HTTP
-from a daemon thread, so a running fleet (``python -m repro fleet
---serve-metrics PORT``) can be scraped while it works:
+:class:`EndpointSuite` routes and renders the scrape endpoints that
+:class:`repro.serving.server.IngestServer` answers. That one asyncio
+server backs both the serving port (``python -m repro serve``) and the
+scrape-only port of ``python -m repro fleet --serve-metrics PORT``, which
+runs it without an ingest core:
 
 * ``GET /metrics`` — Prometheus text exposition (version 0.0.4) of every
   registered metric, straight from ``registry.to_prometheus()``;
@@ -11,30 +13,26 @@ from a daemon thread, so a running fleet (``python -m repro fleet
   503 once degraded;
 * ``GET /fleet``   — JSON from the configured ``fleet_provider``
   (per-device :class:`~repro.fleet.manager.FleetStats`).
-
-The server binds ``127.0.0.1`` by default and uses a
-``ThreadingHTTPServer`` so a slow scraper cannot wedge the fleet; the
-telemetry registry's internal lock makes concurrent scrapes safe against
-in-flight metric writes. Port ``0`` asks the OS for a free port (the
-bound port is on :attr:`MetricsServer.port` after :meth:`start`).
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional, Tuple
 
 from .hub import Telemetry, get_telemetry
 
-__all__ = ["EndpointSuite", "MetricsServer", "ladder_health"]
+__all__ = ["EndpointSuite", "ladder_health"]
 
 #: Content type mandated by Prometheus text exposition 0.0.4.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _TEXT = "text/plain; charset=utf-8"
 _JSON = "application/json"
+
+#: The routed paths; the request counter labels any other path ``other``,
+#: so a client cannot grow the registry by probing new paths.
+_ROUTES = frozenset({"/metrics", "/health", "/fleet", "/"})
 
 
 def ladder_health(ladder, sentinel=None) -> Callable[[], dict]:
@@ -63,12 +61,10 @@ def ladder_health(ladder, sentinel=None) -> Callable[[], dict]:
 class EndpointSuite:
     """Render the observability GET endpoints to ``(status, ctype, body)``.
 
-    The routing/rendering core shared by :class:`MetricsServer` (thread
-    per request) and the serving front-end's asyncio loop
-    (:class:`repro.serving.server.IngestServer`) — both answer
-    ``/metrics``, ``/health``, ``/fleet`` and ``/`` identically because
-    both delegate here. Providers run on whatever thread calls
-    :meth:`handle`; hand them thread-safe state only.
+    The routing/rendering core of
+    :class:`repro.serving.server.IngestServer`, with or without an ingest
+    core. Providers run on whatever thread calls :meth:`handle` (the
+    server's event loop); hand them thread-safe state only.
     """
 
     def __init__(
@@ -91,7 +87,7 @@ class EndpointSuite:
         if tel.enabled:
             tel.counter(
                 "metrics_server.requests", "scrapes served by path", labels=("path",)
-            ).inc(path=path)
+            ).inc(path=path if path in _ROUTES else "other")
         if path == "/metrics":
             return 200, PROMETHEUS_CONTENT_TYPE, tel.registry.to_prometheus()
         if path == "/health":
@@ -115,133 +111,3 @@ class EndpointSuite:
         if healthy_key is not None and body.get(healthy_key) not in (None, "ok"):
             status = 503
         return status, _JSON, json.dumps(body, sort_keys=True) + "\n"
-
-
-class _Handler(BaseHTTPRequestHandler):
-    # Set per-server via the factory in MetricsServer._make_handler.
-    server_version = "repro-metrics/1"
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        srv: "MetricsServer" = self.server.metrics_server  # type: ignore[attr-defined]
-        status, ctype, body = srv.endpoints.handle(self.path)
-        self._reply(status, body, ctype)
-
-    def _reply(self, status: int, body: str, content_type: str) -> None:
-        payload = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, format: str, *args: object) -> None:
-        # Scrapes are periodic; stderr chatter would drown the CLI output.
-        pass
-
-
-class MetricsServer:
-    """Daemon-thread HTTP server over a :class:`Telemetry` hub.
-
-    Parameters
-    ----------
-    port:
-        TCP port to bind; ``0`` picks a free one (see :attr:`port`).
-    host:
-        Bind address, loopback by default — a fleet box exposing metrics
-        beyond localhost should make that an explicit decision.
-    telemetry:
-        Hub to serve; defaults to the process-wide hub.
-    health_provider / fleet_provider:
-        Zero-arg callables returning JSON-able dicts for ``/health`` and
-        ``/fleet``; endpoints answer 404 until configured. Providers run
-        on the *server* thread — hand them thread-safe state only (the
-        in-process :class:`FleetManager` stats are; a
-        :class:`ShardedFleetManager`'s worker pipes are not, so sharded
-        fleets serve the last aggregated stats instead).
-
-    Usable as a context manager (``with MetricsServer(0) as srv:``).
-    """
-
-    def __init__(
-        self,
-        port: int = 0,
-        *,
-        host: str = "127.0.0.1",
-        telemetry: Optional[Telemetry] = None,
-        health_provider: Optional[Callable[[], dict]] = None,
-        fleet_provider: Optional[Callable[[], dict]] = None,
-    ) -> None:
-        self.telemetry = telemetry if telemetry is not None else get_telemetry()
-        self.endpoints = EndpointSuite(
-            self.telemetry,
-            health_provider=health_provider,
-            fleet_provider=fleet_provider,
-        )
-        self._requested = (host, int(port))
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def health_provider(self) -> Optional[Callable[[], dict]]:
-        return self.endpoints.health_provider
-
-    @health_provider.setter
-    def health_provider(self, provider: Optional[Callable[[], dict]]) -> None:
-        self.endpoints.health_provider = provider
-
-    @property
-    def fleet_provider(self) -> Optional[Callable[[], dict]]:
-        return self.endpoints.fleet_provider
-
-    @fleet_provider.setter
-    def fleet_provider(self, provider: Optional[Callable[[], dict]]) -> None:
-        self.endpoints.fleet_provider = provider
-
-    # -- lifecycle ------------------------------------------------------------
-
-    @property
-    def running(self) -> bool:
-        return self._httpd is not None
-
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0] if self._httpd else self._requested[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1] if self._httpd else self._requested[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "MetricsServer":
-        if self._httpd is not None:
-            return self
-        httpd = ThreadingHTTPServer(self._requested, _Handler)
-        httpd.daemon_threads = True
-        httpd.metrics_server = self  # type: ignore[attr-defined]
-        self._httpd = httpd
-        self._thread = threading.Thread(
-            target=httpd.serve_forever,
-            name="repro-metrics-server",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._httpd is None:
-            return
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._httpd = None
-        self._thread = None
-
-    def __enter__(self) -> "MetricsServer":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()

@@ -2,7 +2,7 @@
 
 These are small, heavily-reused primitives: pairwise distances for the
 clustering substrate, a streaming mean/variance estimator for threshold
-calibration and error-rate detectors, and log-domain utilities for the GMM.
+calibration and error-rate detectors, and log-domain utilities.
 All array paths are fully vectorised (see the HPC guide: vectorise inner
 loops, prefer in-place updates, avoid needless copies).
 """

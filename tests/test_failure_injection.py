@@ -106,7 +106,7 @@ class TestDimensionMismatch:
 
 class TestLifecycleMisuse:
     def test_everything_guards_unfitted_use(self, rng):
-        from repro.clustering import GaussianMixture, KMeans
+        from repro.clustering import KMeans
         from repro.detectors import SPLL, QuantTree
         from repro.oselm import OSELMAutoencoder
         from repro.utils.exceptions import NotFittedError
@@ -117,7 +117,6 @@ class TestLifecycleMisuse:
             (OSELMAutoencoder(3, 2, seed=0), lambda o: o.score(X)),
             (MultiInstanceModel(3, 2, 2, seed=0), lambda o: o.predict(X)),
             (KMeans(2), lambda o: o.predict(X)),
-            (GaussianMixture(2), lambda o: o.score_samples(X)),
             (QuantTree(batch_size=4), lambda o: o.detect_batch(X[:4])),
             (SPLL(batch_size=4), lambda o: o.detect_batch(X[:4])),
         ]:

@@ -16,7 +16,7 @@ from repro.datasets import (
     make_stationary_stream,
     make_sudden_drift_stream,
 )
-from repro.metrics import evaluate_detections, evaluate_method
+from repro.metrics import evaluate_method
 
 OLD = GaussianConcept(np.array([[0.2] * 6, [0.8] * 6]), 0.05)
 NEW = GaussianConcept(np.array([[0.2] * 6, [0.8] * 6]) + 0.5, 0.05)
@@ -58,15 +58,6 @@ class TestAllDriftTypes:
         assert res.delay.detections
         assert res.delay.false_positives == ()
         assert min(res.delay.detections) >= 400
-
-    def test_drift_eval_metrics_consistent(self, kind, pipeline_builder):
-        stream = make_streams()[kind]
-        res = evaluate_method(pipeline_builder(), stream)
-        ev = evaluate_detections(
-            res.delay.detections, stream.drift_points, len(stream), horizon=600
-        )
-        assert ev.recall > 0  # at least the first drift is caught
-        assert ev.precision > 0.3
 
     def test_bit_reproducible(self, kind, pipeline_builder):
         stream = make_streams()[kind]

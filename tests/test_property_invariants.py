@@ -3,7 +3,6 @@
 Each property pins an algebraic identity or structural invariant that the
 paper's correctness rests on:
 
-* sequential running-mean updates ≡ the arithmetic mean (Algorithm 4);
 * OS-ELM sequential updates ≡ ridge regression re-solved from scratch;
 * Welford moments ≡ two-pass mean/variance;
 * Quant Tree bins form an (approximately equal-probability) partition;
@@ -20,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.clustering import sequential_mean_update
 from repro.core import CentroidSet, drift_threshold
 from repro.datasets import MinMaxScaler
 from repro.detectors import ADWIN, QuantTreePartition
@@ -37,30 +35,6 @@ def sample_matrix(n_min=2, n_max=24, d_min=1, d_max=6):
             lambda d: arrays(np.float64, (n, d), elements=finite)
         )
     )
-
-
-class TestSequentialMeanProperty:
-    @given(sample_matrix())
-    @settings(max_examples=60, deadline=None)
-    def test_stream_equals_mean(self, X):
-        c, n = np.zeros(X.shape[1]), 0
-        for row in X:
-            c, n = sequential_mean_update(c, n, row)
-        np.testing.assert_allclose(c, X.mean(axis=0), atol=1e-8, rtol=1e-8)
-
-    @given(sample_matrix(), st.permutations(list(range(8))))
-    @settings(max_examples=30, deadline=None)
-    def test_order_invariance(self, X, perm_idx):
-        """The exact running mean is order-invariant."""
-        idx = [i % len(X) for i in perm_idx]
-        A = X[idx]
-        c1, n1 = np.zeros(X.shape[1]), 0
-        c2, n2 = np.zeros(X.shape[1]), 0
-        for row in A:
-            c1, n1 = sequential_mean_update(c1, n1, row)
-        for row in A[::-1]:
-            c2, n2 = sequential_mean_update(c2, n2, row)
-        np.testing.assert_allclose(c1, c2, atol=1e-8)
 
 
 class TestOSELMEquivalenceProperty:

@@ -1,9 +1,7 @@
 """Second round of property-based tests (hypothesis) — newer subsystems.
 
 Pins invariants of the components added on top of the core reproduction:
-the KS test, Hellinger distance, detection-quality matching, the ascii
-sparkline, quantisation, GMM densities, and the OS-ELM classifier's
-ridge equivalence.
+the KS test, Hellinger distance and the ascii sparkline.
 """
 
 from __future__ import annotations
@@ -15,9 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.detectors import hellinger_distance, ks_two_sample
-from repro.device.quantize import quantize_array
-from repro.metrics import evaluate_detections, sparkline
-from repro.oselm import OSELMClassifier
+from repro.metrics import sparkline
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, width=64)
 
@@ -62,30 +58,6 @@ class TestHellingerProperties:
         assert 0.0 <= d <= 1.0 + 1e-9
 
 
-class TestEvaluateDetectionsProperties:
-    @given(
-        st.lists(st.integers(0, 999), max_size=12),
-        st.lists(st.integers(0, 999), max_size=5),
-        st.integers(50, 2000),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_conservation(self, dets, drifts, horizon):
-        ev = evaluate_detections(dets, drifts, 1000, horizon=horizon)
-        # Every detection is matched exactly once or a false alarm.
-        assert ev.n_detected + len(ev.false_alarms) == len(dets)
-        # One delay slot per true drift.
-        assert len(ev.matched_delays) == len(set(drifts))
-        for d in ev.matched_delays:
-            assert d is None or 0 <= d < horizon
-
-    @given(st.lists(st.integers(0, 999), min_size=1, max_size=8))
-    @settings(max_examples=40, deadline=None)
-    def test_perfect_detections_full_recall(self, drifts):
-        ev = evaluate_detections(sorted(set(drifts)), sorted(set(drifts)), 1000)
-        assert ev.recall == 1.0
-        assert all(d == 0 for d in ev.matched_delays)
-
-
 class TestSparklineProperties:
     @given(arrays(np.float64, st.integers(1, 200), elements=finite),
            st.integers(1, 80))
@@ -94,34 +66,3 @@ class TestSparklineProperties:
         s = sparkline(values, width=width)
         assert len(s) == min(width, len(values))
         assert set(s) <= set("▁▂▃▄▅▆▇█")
-
-
-class TestQuantizeProperties:
-    @given(arrays(np.float64, st.integers(1, 100),
-                  elements=st.floats(-1e4, 1e4, allow_nan=False, width=64)))
-    @settings(max_examples=60, deadline=None)
-    def test_float32_roundtrip_relative_error(self, a):
-        out = quantize_array(a, "float32")
-        np.testing.assert_allclose(out, a, rtol=1e-6, atol=1e-30)
-
-    @given(arrays(np.float64, st.integers(1, 100),
-                  elements=st.floats(-100.0, 100.0, allow_nan=False, width=64)))
-    @settings(max_examples=40, deadline=None)
-    def test_idempotent(self, a):
-        once = quantize_array(a, "float16")
-        twice = quantize_array(once, "float16")
-        np.testing.assert_array_equal(once, twice)
-
-
-class TestClassifierRidgeEquivalence:
-    @given(st.integers(0, 2**31 - 1), st.integers(1, 12))
-    @settings(max_examples=20, deadline=None)
-    def test_sequential_equals_batch(self, seed, n_extra):
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(30 + n_extra, 3))
-        y = (X[:, 0] > 0).astype(np.int64)
-        batch = OSELMClassifier(3, 6, 2, seed=1).fit_initial(X, y)
-        seq = OSELMClassifier(3, 6, 2, seed=1).fit_initial(X[:30], y[:30])
-        for i in range(30, len(X)):
-            seq.partial_fit_one(X[i], int(y[i]))
-        np.testing.assert_allclose(seq.core.beta, batch.core.beta, atol=1e-6)

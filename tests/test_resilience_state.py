@@ -29,7 +29,6 @@ from repro.core import (
 )
 from repro.detectors import (
     ADWIN,
-    CUSUM,
     DDM,
     EDDM,
     HDDDM,
@@ -84,7 +83,6 @@ ERROR_RATE_MAKERS = {
     "ddm": lambda: DDM(),
     "eddm": lambda: EDDM(),
     "adwin": lambda: ADWIN(),
-    "cusum": lambda: CUSUM(),
     "page_hinkley": lambda: PageHinkley(),
     "kswin": lambda: KSWIN(window_size=40, stat_size=10, seed=7),
     "ensemble": lambda: VotingDetectorEnsemble([DDM(), PageHinkley()]),

@@ -1,7 +1,9 @@
-"""Endpoint smoke for the live metrics server (stdlib HTTP, loopback)."""
+"""Endpoint smoke for the scrape-only server: an ``IngestServer`` with no
+ingest core (stdlib HTTP, loopback)."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -9,12 +11,9 @@ import urllib.request
 import pytest
 
 from repro.guard.ladder import DegradationLadder
+from repro.serving.server import IngestServer
 from repro.telemetry import RingBufferSink, Telemetry, lint_prometheus
-from repro.telemetry.httpd import (
-    PROMETHEUS_CONTENT_TYPE,
-    MetricsServer,
-    ladder_health,
-)
+from repro.telemetry.httpd import PROMETHEUS_CONTENT_TYPE, ladder_health
 
 
 def fetch(url: str):
@@ -39,7 +38,7 @@ def tel() -> Telemetry:
 
 class TestMetricsEndpoint:
     def test_serves_lint_clean_prometheus_text(self, tel):
-        with MetricsServer(0, telemetry=tel) as srv:
+        with IngestServer(None, telemetry=tel) as srv:
             status, ctype, body = fetch(srv.url + "/metrics")
         assert status == 200
         assert ctype == PROMETHEUS_CONTENT_TYPE
@@ -48,34 +47,66 @@ class TestMetricsEndpoint:
         assert 'repro_fleet_device_samples{device="dev-001"} 3' in body
 
     def test_port_zero_binds_a_real_port(self, tel):
-        with MetricsServer(0, telemetry=tel) as srv:
+        with IngestServer(None, telemetry=tel) as srv:
             assert srv.running and srv.port > 0
             assert srv.host == "127.0.0.1"
 
     def test_index_and_404(self, tel):
-        with MetricsServer(0, telemetry=tel) as srv:
+        with IngestServer(None, telemetry=tel) as srv:
             status, _, body = fetch(srv.url + "/")
             assert status == 200 and "/metrics" in body
             status, _, _ = fetch(srv.url + "/nope")
             assert status == 404
 
     def test_scrapes_are_counted(self, tel):
-        with MetricsServer(0, telemetry=tel) as srv:
+        with IngestServer(None, telemetry=tel) as srv:
             fetch(srv.url + "/metrics")
             fetch(srv.url + "/metrics")
         c = tel.registry.get("metrics_server.requests")
         assert c.value(path="/metrics") == 2.0
 
+    def test_unknown_paths_share_one_series(self, tel):
+        with IngestServer(None, telemetry=tel) as srv:
+            conn = http.client.HTTPConnection(srv.host, srv.port, timeout=10)
+            try:
+                for i in range(1000):
+                    conn.request("GET", f"/probe-{i}")
+                    resp = conn.getresponse()
+                    resp.read()
+                    assert resp.status == 404
+            finally:
+                conn.close()
+            fetch(srv.url + "/metrics")
+        c = tel.registry.get("metrics_server.requests")
+        assert len(c.samples()) <= 5
+        assert c.value(path="other") == 1000.0
+        assert c.value(path="/metrics") == 1.0
+
+    def test_ingest_routes_404_without_a_core(self, tel):
+        with IngestServer(None, telemetry=tel) as srv:
+            assert fetch(srv.url + "/v1/ingest")[0] == 404
+            assert fetch(srv.url + "/v1/devices/dev-000/results")[0] == 404
+            req = urllib.request.Request(
+                srv.url + "/v1/devices/dev-000/chunks",
+                data=b'{"seq": 0, "X": [[0.0]], "y": [0]}',
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(req, timeout=10)
+            assert err.value.code == 404
+            status, _, body = fetch(srv.url + "/")
+            assert status == 200 and "/v1/" not in body
+
 
 class TestHealthEndpoint:
     def test_404_until_configured(self, tel):
-        with MetricsServer(0, telemetry=tel) as srv:
+        with IngestServer(None, telemetry=tel) as srv:
             status, _, _ = fetch(srv.url + "/health")
         assert status == 404
 
     def test_healthy_ladder_reports_200(self, tel):
         ladder = DegradationLadder()
-        srv = MetricsServer(0, telemetry=tel, health_provider=ladder_health(ladder))
+        srv = IngestServer(None, telemetry=tel, health_provider=ladder_health(ladder))
         with srv:
             status, _, body = fetch(srv.url + "/health")
         assert status == 200
@@ -88,7 +119,7 @@ class TestHealthEndpoint:
         for i in range(3):  # three faults in-window → SANITIZING
             ladder.record_fault(i)
         assert int(ladder.level) > 0
-        srv = MetricsServer(0, telemetry=tel, health_provider=ladder_health(ladder))
+        srv = IngestServer(None, telemetry=tel, health_provider=ladder_health(ladder))
         with srv:
             status, _, body = fetch(srv.url + "/health")
         assert status == 503
@@ -98,7 +129,7 @@ class TestHealthEndpoint:
         def broken() -> dict:
             raise RuntimeError("boom")
 
-        with MetricsServer(0, telemetry=tel, health_provider=broken) as srv:
+        with IngestServer(None, telemetry=tel, health_provider=broken) as srv:
             status, _, body = fetch(srv.url + "/health")
             assert status == 503
             assert json.loads(body)["status"] == "error"
@@ -110,7 +141,7 @@ class TestHealthEndpoint:
 class TestFleetEndpoint:
     def test_serves_fleet_provider_json(self, tel):
         stats = {"devices": 2, "evictions": 1, "device_samples": {"dev-000": 5}}
-        srv = MetricsServer(0, telemetry=tel, fleet_provider=lambda: stats)
+        srv = IngestServer(None, telemetry=tel, fleet_provider=lambda: stats)
         with srv:
             status, ctype, body = fetch(srv.url + "/fleet")
         assert status == 200
@@ -120,7 +151,7 @@ class TestFleetEndpoint:
 
 class TestLifecycle:
     def test_stop_is_idempotent_and_frees_the_port(self, tel):
-        srv = MetricsServer(0, telemetry=tel).start()
+        srv = IngestServer(None, telemetry=tel).start()
         url = srv.url
         srv.stop()
         srv.stop()

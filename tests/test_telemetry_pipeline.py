@@ -180,17 +180,6 @@ class TestBatchPipelineEvents:
         assert refit.fields["pipeline"] == pipe.name
 
 
-class TestDeviceEvents:
-    def test_quantize_pipeline_emits_event(self, ring):
-        from repro.device import quantize_pipeline
-
-        train, _test = make_streams()
-        quantize_pipeline(make_proposed(train), "float32")
-        (event,) = ring.events("pipeline_quantized")
-        assert event.fields["dtype"] == "float32"
-        assert event.fields["state_bytes"] > 0
-
-
 class TestParallelRunnerTelemetry:
     CELLS_KWARGS = {"seed": 3, "n_test": 300, "drift_at": 120}
 
