@@ -30,7 +30,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.engine import build_experiment
+from repro.engine import build_streams
 from repro.fleet.soak import make_fleet_specs, verify_device
 from repro.serving import ServingStack, run_load
 
@@ -54,7 +54,7 @@ def run_serving(
     specs = make_fleet_specs(
         params["n_devices"], seed=seed, n_test=params["n_test"]
     )
-    streams = {dev: build_experiment(spec).test for dev, spec in specs.items()}
+    streams = {dev: build_streams(spec)[1] for dev, spec in specs.items()}
     with tempfile.TemporaryDirectory(prefix="repro-serving-bench-") as tmp:
         stack = ServingStack(
             capacity=params["capacity"],

@@ -21,7 +21,7 @@ import tempfile
 import numpy as np
 
 from repro.datasets import interleave_schedule
-from repro.engine import build_experiment
+from repro.engine import build_experiment, build_streams
 from repro.fleet import FleetManager, make_fleet_specs
 from repro.metrics import format_table
 from repro.telemetry import Telemetry
@@ -38,7 +38,7 @@ def main() -> None:
         N_DEVICES, seed=0, drift_fraction=0.3, n_test=SAMPLES, shift=SHIFT,
         guard_policy="clip",
     )
-    streams = {dev: build_experiment(spec).test for dev, spec in specs.items()}
+    streams = {dev: build_streams(spec)[1] for dev, spec in specs.items()}
     devices = list(specs)
 
     tel = Telemetry(enabled=True)

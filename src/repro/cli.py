@@ -489,7 +489,7 @@ def cmd_serve(args) -> None:
     import time as _time
 
     from .datasets.fleet import ReplayPace
-    from .engine import build_experiment as _build
+    from .engine import build_streams
     from .fleet.soak import make_fleet_specs, verify_device
     from .serving import ServingStack, run_load
 
@@ -519,7 +519,7 @@ def cmd_serve(args) -> None:
                 # Foreground server: run until interrupted.
                 while True:  # pragma: no cover — interactive mode
                     _time.sleep(1.0)
-            streams = {dev: _build(spec).test for dev, spec in specs.items()}
+            streams = {dev: build_streams(spec)[1] for dev, spec in specs.items()}
             pace = None
             if args.rate is not None:
                 pace = ReplayPace(rate=args.rate, jitter=args.jitter)

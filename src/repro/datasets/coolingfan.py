@@ -27,7 +27,7 @@ sudden (drift @120), gradual (mixing 120–600), reoccurring (damage only in
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Literal, Tuple
+from typing import Iterator, Literal, Tuple
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "fan_condition",
     "make_fan_samples",
     "make_cooling_fan_like",
+    "iter_cooling_fan_like",
 ]
 
 #: Spectrum resolution of the real dataset: 1 Hz bins from 1 to 511 Hz.
@@ -161,18 +162,7 @@ def make_fan_samples(
 
 
 def make_cooling_fan_like(
-    scenario: Literal["sudden", "gradual", "reoccurring"] = "sudden",
-    *,
-    n_train: int = 120,
-    n_test: int = 700,
-    drift_at: int = 120,
-    gradual_end: int = 600,
-    reoccur_at: int = 170,
-    environment: Environment = "silent",
-    train_environment: Environment = "silent",
-    n_modes: int = 1,
-    seed: SeedLike = 0,
-    n_bins: int = N_BINS,
+    scenario: Literal["sudden", "gradual", "reoccurring"] = "sudden", **kwargs
 ) -> Tuple[DataStream, DataStream]:
     """Build ``(train, test)`` streams for one of the paper's three scenarios.
 
@@ -195,6 +185,34 @@ def make_cooling_fan_like(
     patterns" setup of the paper's on-device demo (its Table 6 prices
     Init_Coord above zero, which requires C ≥ 2 instances). The test
     scenarios still stream mode-1 data.
+
+    Keyword arguments and their defaults are those of
+    :func:`iter_cooling_fan_like`.
+    """
+    train, test = iter_cooling_fan_like(scenario, **kwargs)
+    return train, test
+
+
+def iter_cooling_fan_like(
+    scenario: Literal["sudden", "gradual", "reoccurring"] = "sudden",
+    *,
+    n_train: int = 120,
+    n_test: int = 700,
+    drift_at: int = 120,
+    gradual_end: int = 600,
+    reoccur_at: int = 170,
+    environment: Environment = "silent",
+    train_environment: Environment = "silent",
+    n_modes: int = 1,
+    seed: SeedLike = 0,
+    n_bins: int = N_BINS,
+) -> Iterator[DataStream]:
+    """Yield :func:`make_cooling_fan_like`'s training stream, then its test
+    stream.
+
+    Every argument is checked before the first yield. The training rows
+    are drawn first, so a caller that takes only the first stream gets
+    the same bits without paying for the test draw.
     """
     if scenario not in ("sudden", "gradual", "reoccurring"):
         raise ConfigurationError(f"unknown scenario {scenario!r}.")
@@ -202,6 +220,10 @@ def make_cooling_fan_like(
         raise ConfigurationError(f"drift_at must be in (0, {n_test}).")
     if n_modes not in (1, 2):
         raise ConfigurationError(f"n_modes must be 1 or 2, got {n_modes}.")
+    if scenario == "gradual" and not drift_at < gradual_end <= n_test:
+        raise ConfigurationError("need drift_at < gradual_end <= n_test.")
+    if scenario == "reoccurring" and not drift_at < reoccur_at < n_test:
+        raise ConfigurationError("need drift_at < reoccur_at < n_test.")
     rng = ensure_rng(seed)
     normal = fan_condition("normal", environment)
     damaged = fan_condition("holes" if scenario == "sudden" else "chipped", environment)
@@ -212,7 +234,7 @@ def make_cooling_fan_like(
         fast = replace(fan_condition("normal", train_environment), rotation_hz=45.0)
         X_train = np.concatenate([X_train, fast.sample(n_train, rng, n_bins)])
         y_train = np.concatenate([y_train, np.ones(n_train, dtype=np.int64)])
-    train = DataStream(X_train, y_train, name=f"fan/{scenario}/train")
+    yield DataStream(X_train, y_train, name=f"fan/{scenario}/train")
 
     X = np.empty((n_test, n_bins))
     y = np.zeros(n_test, dtype=np.int64)
@@ -223,8 +245,6 @@ def make_cooling_fan_like(
         y[drift_at:] = 1
         drifts: tuple[int, ...] = (drift_at,)
     elif scenario == "gradual":
-        if not drift_at < gradual_end <= n_test:
-            raise ConfigurationError("need drift_at < gradual_end <= n_test.")
         span = gradual_end - drift_at
         p_damaged = (np.arange(span) + 1) / span
         dmg = rng.random(span) < p_damaged
@@ -236,12 +256,9 @@ def make_cooling_fan_like(
         y[gradual_end:] = 1
         drifts = (drift_at,)
     else:  # reoccurring
-        if not drift_at < reoccur_at < n_test:
-            raise ConfigurationError("need drift_at < reoccur_at < n_test.")
         X[drift_at:reoccur_at] = damaged.sample(reoccur_at - drift_at, rng, n_bins)
         y[drift_at:reoccur_at] = 1
         X[reoccur_at:] = normal.sample(n_test - reoccur_at, rng, n_bins)
         drifts = (drift_at, reoccur_at)
 
-    test = DataStream(X, y, drift_points=drifts, name=f"fan/{scenario}/test")
-    return train, test
+    yield DataStream(X, y, drift_points=drifts, name=f"fan/{scenario}/test")

@@ -28,7 +28,7 @@ The generator returns ``(train, test)`` streams; call
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -36,7 +36,12 @@ from ..utils.exceptions import ConfigurationError
 from ..utils.rng import SeedLike, ensure_rng
 from .stream import DataStream
 
-__all__ = ["NSLKDDConfig", "nslkdd_default_config", "make_nslkdd_like"]
+__all__ = [
+    "NSLKDDConfig",
+    "nslkdd_default_config",
+    "make_nslkdd_like",
+    "iter_nslkdd_like",
+]
 
 #: Paper's feature count after NSL-KDD preprocessing.
 N_FEATURES = 38
@@ -180,6 +185,20 @@ def make_nslkdd_like(
     >>> train.n_features, len(train), len(test), test.drift_points
     (38, 2522, 22701, (8333,))
     """
+    train, test = iter_nslkdd_like(config, seed=seed)
+    return train, test
+
+
+def iter_nslkdd_like(
+    config: NSLKDDConfig | None = None,
+    *,
+    seed: SeedLike = 0,
+) -> Iterator[DataStream]:
+    """Yield :func:`make_nslkdd_like`'s training stream, then its test stream.
+
+    The training rows are drawn first, so a caller that takes only the
+    first stream gets the same bits without paying for the test draw.
+    """
     cfg = config or nslkdd_default_config()
     rng = ensure_rng(seed)
     profiles = _class_profiles(cfg, rng)
@@ -214,14 +233,13 @@ def make_nslkdd_like(
         return X, y
 
     X_train, y_train = build(cfg.n_train, "pre")
+    yield DataStream(X_train, y_train, drift_points=(), name="nslkdd-like/train")
+
     X_pre, y_pre = build(cfg.drift_at, "pre")
     X_post, y_post = build(cfg.n_test - cfg.drift_at, "post")
-
-    train = DataStream(X_train, y_train, drift_points=(), name="nslkdd-like/train")
-    test = DataStream(
+    yield DataStream(
         np.concatenate([X_pre, X_post]),
         np.concatenate([y_pre, y_post]),
         drift_points=(cfg.drift_at,),
         name="nslkdd-like/test",
     )
-    return train, test

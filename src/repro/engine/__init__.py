@@ -46,6 +46,8 @@ from .spec import (
     Experiment,
     ExperimentSpec,
     build_experiment,
+    build_pipeline,
+    build_streams,
     canonical_json,
     restore_pipeline,
     spec_hash,
@@ -77,6 +79,8 @@ __all__ = [
     "ExperimentSpec",
     "Experiment",
     "build_experiment",
+    "build_pipeline",
+    "build_streams",
     "restore_pipeline",
     "spec_hash",
     "canonical_json",

@@ -24,7 +24,10 @@ Contracts:
 * **pipeline builders** — ``(X, y, *, seed=None, **kwargs) -> StreamPipeline``,
   trained on the initial data and ready to stream;
 * **dataset factories** — ``(**kwargs) -> (train, test)`` pair of
-  :class:`~repro.datasets.stream.DataStream`;
+  :class:`~repro.datasets.stream.DataStream`. A factory may also carry a
+  ``train_stream`` attribute, ``(**kwargs) -> train``, that draws the
+  same training stream alone (the built-in ones do); without it a
+  training-only build makes both streams and drops the test one;
 * **detectors** — the detector class itself (constructor kwargs are the
   caller's business); registered so specs and ablation tooling can name
   detector families declaratively.
@@ -32,8 +35,9 @@ Contracts:
 
 from __future__ import annotations
 
+import functools
 import importlib
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -132,10 +136,26 @@ register_pipeline("spll", factory.build_spll_pipeline)
 register_pipeline("hdddm", factory.build_hdddm_pipeline)
 
 
-@register_dataset("nslkdd")
-def _stream_nslkdd(**kwargs):
-    from ..datasets import make_nslkdd_like
-    from ..datasets.nslkdd import NSLKDDConfig
+def _train_first(streams: Callable[..., Iterator[Any]]) -> Callable[..., Tuple[Any, Any]]:
+    """A ``(train, test)`` factory over ``streams``, a generator function
+    that yields the training stream and then the test stream.
+
+    The factory's ``train_stream`` attribute takes only the first yield,
+    so :func:`~repro.engine.spec.build_pipeline` gets the same training
+    rows without drawing the test stream.
+    """
+
+    @functools.wraps(streams)
+    def factory(**kwargs):
+        train, test = streams(**kwargs)
+        return train, test
+
+    factory.train_stream = lambda **kwargs: next(streams(**kwargs))
+    return factory
+
+
+def _nslkdd_streams(**kwargs):
+    from ..datasets.nslkdd import NSLKDDConfig, iter_nslkdd_like
 
     config_kwargs = {
         k: kwargs.pop(k)
@@ -143,19 +163,17 @@ def _stream_nslkdd(**kwargs):
         if k in {f.name for f in NSLKDDConfig.__dataclass_fields__.values()}
     }
     config = NSLKDDConfig(**config_kwargs) if config_kwargs else None
-    return make_nslkdd_like(config, **kwargs)
+    return iter_nslkdd_like(config, **kwargs)
 
 
-@register_dataset("coolingfan")
-def _stream_cooling_fan(**kwargs):
-    from ..datasets import make_cooling_fan_like
+def _cooling_fan_streams(**kwargs):
+    from ..datasets.coolingfan import iter_cooling_fan_like
 
     scenario = kwargs.pop("scenario", "sudden")
-    return make_cooling_fan_like(scenario, **kwargs)
+    return iter_cooling_fan_like(scenario, **kwargs)
 
 
-@register_dataset("blobs")
-def _stream_blobs(
+def _blobs_streams(
     *,
     n_features: int = 6,
     n_train: int = 240,
@@ -175,14 +193,18 @@ def _stream_blobs(
     means = rng.uniform(0.1, 0.9, size=(2, n_features))
     means[1] = 1.0 - means[0]
     old = GaussianConcept(means, 0.05)
+    yield make_stationary_stream(old, n_train, seed=seed, name="train")
     moved = means.copy()
     moved[0] = moved[0] + shift * (moved[1] - moved[0])
     new = GaussianConcept(moved, 0.08)
-    train = make_stationary_stream(old, n_train, seed=seed, name="train")
-    test = make_sudden_drift_stream(
+    yield make_sudden_drift_stream(
         old, new, n_samples=n_test, drift_at=drift_at, seed=seed + 1, name="blobs"
     )
-    return train, test
+
+
+register_dataset("nslkdd", _train_first(_nslkdd_streams))
+register_dataset("coolingfan", _train_first(_cooling_fan_streams))
+register_dataset("blobs", _train_first(_blobs_streams))
 
 
 def _register_builtin_detectors() -> None:

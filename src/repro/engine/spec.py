@@ -29,6 +29,8 @@ __all__ = [
     "ExperimentSpec",
     "Experiment",
     "build_experiment",
+    "build_pipeline",
+    "build_streams",
     "restore_pipeline",
     "spec_hash",
     "canonical_json",
@@ -206,6 +208,35 @@ class Experiment:
         return self.pipeline.run(self.test, **run_kwargs)
 
 
+def build_streams(spec: ExperimentSpec) -> tuple:
+    """``spec``'s ``(train, test)`` streams, the test cut to ``n_test``.
+
+    Nothing is trained: this is what a replay driver needs to feed a
+    fleet, whose devices build their own pipelines.
+    """
+    train, test = resolve_dataset(spec.dataset)(**_dataset_kwargs(spec))
+    if spec.n_test is not None:
+        test = test.take(int(spec.n_test))
+    return train, test
+
+
+def build_pipeline(spec: ExperimentSpec):
+    """The pipeline ``spec`` builds, trained, with its guard attached.
+
+    Only the training stream is synthesised when the dataset factory
+    can draw it alone (every built-in one can); the pipeline and guard
+    are bit-identical to :func:`build_experiment`'s. This is a fleet
+    device's first touch: one initial-training phase on the init data.
+    """
+    factory = resolve_dataset(spec.dataset)
+    draw_train = getattr(factory, "train_stream", None)
+    if draw_train is not None:
+        train = draw_train(**_dataset_kwargs(spec))
+    else:
+        train = factory(**_dataset_kwargs(spec))[0]
+    return _train(spec, train)
+
+
 def build_experiment(spec: ExperimentSpec) -> Experiment:
     """Materialise ``spec``: synthesise streams, build + train the pipeline.
 
@@ -213,26 +244,33 @@ def build_experiment(spec: ExperimentSpec) -> Experiment:
     two independent experiments whose runs produce byte-identical record
     streams (the registry/spec tests pin this).
     """
-    factory = resolve_dataset(spec.dataset)
-    dataset_kwargs = dict(spec.dataset_kwargs)
-    dataset_kwargs.setdefault("seed", int(spec.seed))
-    train, test = factory(**dataset_kwargs)
-    if spec.n_test is not None:
-        test = test.take(int(spec.n_test))
-    builder = resolve_pipeline(spec.pipeline)
-    pipeline = builder(
+    train, test = build_streams(spec)
+    pipeline = _train(spec, train)
+    guard = None if spec.guard_policy is None else pipeline.guard
+    return Experiment(spec=spec, train=train, test=test, pipeline=pipeline, guard=guard)
+
+
+def _dataset_kwargs(spec: ExperimentSpec) -> dict:
+    kwargs = dict(spec.dataset_kwargs)
+    kwargs.setdefault("seed", int(spec.seed))
+    return kwargs
+
+
+def _train(spec: ExperimentSpec, train):
+    """Build ``spec``'s pipeline on ``train`` and attach its guard."""
+    pipeline = resolve_pipeline(spec.pipeline)(
         train.X,
         train.y,
         seed=spec.effective_model_seed,
         **dict(spec.pipeline_kwargs),
     )
-    guard = None
     if spec.guard_policy is not None:
         from ..guard import RuntimeGuard
 
-        guard = RuntimeGuard.from_init_data(train.X, policy=spec.guard_policy)
-        pipeline.attach_guard(guard)
-    return Experiment(spec=spec, train=train, test=test, pipeline=pipeline, guard=guard)
+        pipeline.attach_guard(
+            RuntimeGuard.from_init_data(train.X, policy=spec.guard_policy)
+        )
+    return pipeline
 
 
 def restore_pipeline(spec: ExperimentSpec, state: dict, guard_state: Optional[dict] = None):
@@ -244,8 +282,8 @@ def restore_pipeline(spec: ExperimentSpec, state: dict, guard_state: Optional[di
     alone (:func:`~repro.core.factory.pipeline_from_state`) and the guard
     gets its bounds from ``guard_state``: no dataset is synthesised and
     nothing is trained. Any other builder — a ``"module:callable"`` path
-    or a user-registered one — has no assembly to reuse, so the spec is
-    built in full and its state then overwritten.
+    or a user-registered one — has no assembly to reuse, so the pipeline
+    is built (:func:`build_pipeline`) and its state then overwritten.
     """
     if (guard_state is None) != (spec.guard_policy is None):
         raise ConfigurationError(
@@ -260,7 +298,7 @@ def restore_pipeline(spec: ExperimentSpec, state: dict, guard_state: Optional[di
         **dict(spec.pipeline_kwargs),
     )
     if pipeline is None:
-        pipeline = build_experiment(spec).pipeline
+        pipeline = build_pipeline(spec)
         pipeline.set_state(state)
     elif guard_state is not None:
         from ..guard import RuntimeGuard

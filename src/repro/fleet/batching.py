@@ -35,6 +35,7 @@ or trains on every sample (ONLAD) stays on
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -44,6 +45,9 @@ from ..core.lockstep import lockstep_ready, step_group
 from ..oselm.ensemble import MultiInstanceModel
 
 __all__ = ["BatchGroup", "BatchPlanner", "model_signature"]
+
+#: model -> (the random-layer arrays its signature hashed, the signature)
+_SIGNATURES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def model_signature(model) -> Optional[str]:
@@ -55,9 +59,20 @@ def model_signature(model) -> Optional[str]:
     different seeds (or different ``weight_scale``) can never collide the
     way a shape-only key would. Returns ``None`` for anything that is not
     a fitted :class:`MultiInstanceModel` (never batchable).
+
+    The digest is computed once per model and reused while every
+    instance still holds the same weight and bias arrays. The arrays are
+    read-only, and only ``set_state`` replaces them, so a restored state
+    with other weights hashes afresh.
     """
     if not isinstance(model, MultiInstanceModel) or not model.is_fitted:
         return None
+    arrays = [
+        a for inst in model.instances for a in (inst.core.layer.weights, inst.core.layer.biases)
+    ]
+    cached = _SIGNATURES.get(model)
+    if cached is not None and all(a is b for a, b in zip(cached[0], arrays)):
+        return cached[1]
     digest = hashlib.sha256()
     digest.update(type(model).__name__.encode())
     digest.update(
@@ -71,7 +86,9 @@ def model_signature(model) -> Optional[str]:
         )
         digest.update(np.ascontiguousarray(layer.weights).tobytes())
         digest.update(np.ascontiguousarray(layer.biases).tobytes())
-    return digest.hexdigest()
+    signature = digest.hexdigest()
+    _SIGNATURES[model] = (arrays, signature)
+    return signature
 
 
 @dataclass

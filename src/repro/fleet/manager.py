@@ -663,13 +663,13 @@ class FleetManager:
         ]
 
     def _build(self, device_id: str, spec: ExperimentSpec) -> StreamSession:
-        from ..engine.spec import build_experiment
+        # Looked up at call time, so a tracer that wraps the module
+        # attribute sees every first-touch build.
+        from ..engine.spec import build_pipeline
 
-        exp = build_experiment(spec)
+        pipeline = build_pipeline(spec)
         self.stats.builds += 1
-        return StreamSession(
-            exp.pipeline, self._stack(spec, exp.pipeline, device_id)
-        ).open()
+        return StreamSession(pipeline, self._stack(spec, pipeline, device_id)).open()
 
     def _spool_path(self, device_id: str) -> Path:
         if self.spool_dir is None:

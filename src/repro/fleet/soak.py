@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..datasets.fleet import interleave_schedule, plan_fleet
-from ..engine.spec import ExperimentSpec, build_experiment
+from ..engine.spec import ExperimentSpec, build_experiment, build_streams
 from ..utils.exceptions import (
     ConfigurationError,
     DeviceQuarantinedError,
@@ -247,8 +247,9 @@ def run_fleet_soak(
     )
     device_ids = list(specs)
     # Pre-synthesise every device's test stream once: the soak measures
-    # the manager's churn, not dataset synthesis.
-    streams = {dev: build_experiment(spec).test for dev, spec in specs.items()}
+    # the manager's churn, not dataset synthesis. Nothing is trained
+    # here; each device trains its own pipeline on first touch.
+    streams = {dev: build_streams(spec)[1] for dev, spec in specs.items()}
     lengths = [len(streams[dev].X) for dev in device_ids]
 
     sharded = n_shards is not None and int(n_shards) > 0

@@ -8,7 +8,6 @@ from .exceptions import (
 )
 from .math import (
     RunningMoments,
-    logsumexp,
     pairwise_l1_dists,
     pairwise_sq_dists,
     sigmoid,
@@ -32,7 +31,6 @@ __all__ = [
     "ConfigurationError",
     "DataValidationError",
     "RunningMoments",
-    "logsumexp",
     "pairwise_l1_dists",
     "pairwise_sq_dists",
     "sigmoid",

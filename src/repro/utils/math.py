@@ -2,7 +2,7 @@
 
 These are small, heavily-reused primitives: pairwise distances for the
 clustering substrate, a streaming mean/variance estimator for threshold
-calibration and error-rate detectors, and log-domain utilities.
+calibration and error-rate detectors, and a stable sigmoid.
 All array paths are fully vectorised (see the HPC guide: vectorise inner
 loops, prefer in-place updates, avoid needless copies).
 """
@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "pairwise_sq_dists",
     "pairwise_l1_dists",
-    "logsumexp",
     "sigmoid",
     "RunningMoments",
 ]
@@ -48,15 +47,6 @@ def pairwise_l1_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     return np.abs(A[:, None, :] - B[None, :, :]).sum(axis=2)
-
-
-def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
-    """Stable ``log(sum(exp(a)))`` along ``axis``."""
-    a = np.asarray(a, dtype=np.float64)
-    amax = np.max(a, axis=axis, keepdims=True)
-    amax = np.where(np.isfinite(amax), amax, 0.0)
-    out = np.log(np.sum(np.exp(a - amax), axis=axis, keepdims=True)) + amax
-    return out if axis is None else np.squeeze(out, axis=axis)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

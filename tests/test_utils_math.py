@@ -1,4 +1,4 @@
-"""Unit tests for repro.utils.math — distances, logsumexp, running moments."""
+"""Unit tests for repro.utils.math — distances, sigmoid, running moments."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.utils.math import (
     RunningMoments,
-    logsumexp,
     pairwise_l1_dists,
     pairwise_sq_dists,
     sigmoid,
@@ -44,26 +43,6 @@ class TestPairwiseL1Dists:
     def test_symmetry(self, rng):
         A = rng.normal(size=(5, 3))
         np.testing.assert_allclose(pairwise_l1_dists(A, A), pairwise_l1_dists(A, A).T)
-
-
-class TestLogsumexp:
-    def test_matches_naive_small(self, rng):
-        a = rng.normal(size=10)
-        assert logsumexp(a) == pytest.approx(np.log(np.exp(a).sum()))
-
-    def test_stable_large_values(self):
-        a = np.array([1000.0, 1000.0])
-        assert logsumexp(a) == pytest.approx(1000.0 + np.log(2.0))
-
-    def test_axis(self, rng):
-        a = rng.normal(size=(3, 4))
-        out = logsumexp(a, axis=1)
-        assert out.shape == (3,)
-        np.testing.assert_allclose(out, np.log(np.exp(a).sum(axis=1)), atol=1e-10)
-
-    def test_neg_inf_handled(self):
-        a = np.array([-np.inf, 0.0])
-        assert logsumexp(a) == pytest.approx(0.0)
 
 
 class TestSigmoid:
