@@ -19,7 +19,13 @@ from __future__ import annotations
 import json
 
 from repro.core import build_proposed
-from repro.engine import ExperimentSpec, build_experiment, register_pipeline
+from repro.engine import (
+    ExperimentSpec,
+    build_experiment,
+    build_pipeline,
+    build_streams,
+    register_pipeline,
+)
 from repro.metrics import evaluate_method
 
 
@@ -75,10 +81,10 @@ def main() -> None:
 
     # The same spec is runnable from the shell — write it to a file and:
     #   python -m repro spec my_experiment.json
-    # Determinism: building the spec twice yields byte-identical records.
+    # Determinism: building the spec again yields byte-identical records,
+    # here from its two halves (the trained pipeline, the streams).
     rerun = evaluate_method(
-        build_experiment(spec).pipeline, build_experiment(spec).test,
-        name=spec.name,
+        build_pipeline(spec), build_streams(spec)[1], name=spec.name
     )
     assert rerun.records == result.records
     print("re-built from the same spec: records are identical ✓")

@@ -46,9 +46,6 @@ from ..oselm.ensemble import MultiInstanceModel
 
 __all__ = ["BatchGroup", "BatchPlanner", "model_signature"]
 
-#: model -> (the random-layer arrays its signature hashed, the signature)
-_SIGNATURES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
 
 def model_signature(model) -> Optional[str]:
     """Digest identifying models that may share one stacked forward pass.
@@ -59,20 +56,9 @@ def model_signature(model) -> Optional[str]:
     different seeds (or different ``weight_scale``) can never collide the
     way a shape-only key would. Returns ``None`` for anything that is not
     a fitted :class:`MultiInstanceModel` (never batchable).
-
-    The digest is computed once per model and reused while every
-    instance still holds the same weight and bias arrays. The arrays are
-    read-only, and only ``set_state`` replaces them, so a restored state
-    with other weights hashes afresh.
     """
     if not isinstance(model, MultiInstanceModel) or not model.is_fitted:
         return None
-    arrays = [
-        a for inst in model.instances for a in (inst.core.layer.weights, inst.core.layer.biases)
-    ]
-    cached = _SIGNATURES.get(model)
-    if cached is not None and all(a is b for a, b in zip(cached[0], arrays)):
-        return cached[1]
     digest = hashlib.sha256()
     digest.update(type(model).__name__.encode())
     digest.update(
@@ -86,9 +72,13 @@ def model_signature(model) -> Optional[str]:
         )
         digest.update(np.ascontiguousarray(layer.weights).tobytes())
         digest.update(np.ascontiguousarray(layer.biases).tobytes())
-    signature = digest.hexdigest()
-    _SIGNATURES[model] = (arrays, signature)
-    return signature
+    return digest.hexdigest()
+
+
+def _layer_arrays(model: MultiInstanceModel) -> list:
+    return [
+        a for inst in model.instances for a in (inst.core.layer.weights, inst.core.layer.biases)
+    ]
 
 
 @dataclass
@@ -175,7 +165,7 @@ class BatchGroup:
 class BatchPlanner:
     """Split one submit window into group steps plus a fallback set.
 
-    Stateless: callers hand it ``(device_id, pipeline, rows)`` triples
+    Callers hand it ``(device_id, pipeline, rows)`` triples
     for the sessions of one window and get back :class:`BatchGroup`
     objects (keyed on :func:`model_signature`, including singletons:
     even one device's rows beat its own scoring call) and the list of
@@ -184,7 +174,33 @@ class BatchPlanner:
     (:func:`repro.core.lockstep.lockstep_ready`, e.g. one that is
     reconstructing) also joins its signature's group as an unscored
     member; every other fallback session feeds on its own.
+
+    The one thing a planner keeps is each model's signature, hashed once
+    and reused while the model's instances hold the weight and bias
+    arrays it hashed. Those arrays are read-only and only ``set_state``
+    replaces them, so a restored state with other weights hashes afresh.
     """
+
+    def __init__(self) -> None:
+        #: model -> (the random-layer arrays its signature hashed, the signature)
+        self._signatures: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    def signature(self, model) -> Optional[str]:
+        """:func:`model_signature`, hashed once per model's random layer."""
+        if not isinstance(model, MultiInstanceModel):
+            return None
+        arrays = _layer_arrays(model)
+        cached = self._signatures.get(model)
+        if (
+            cached is not None
+            and len(cached[0]) == len(arrays)
+            and all(a is b for a, b in zip(cached[0], arrays))
+        ):
+            return cached[1]
+        signature = model_signature(model)
+        if signature is not None:
+            self._signatures[model] = (arrays, signature)
+        return signature
 
     def plan(
         self, items: Sequence[Tuple[str, object, np.ndarray]]
@@ -197,7 +213,7 @@ class BatchPlanner:
             scored = pipeline.prefers_batched_scoring()
             signature = None
             if pipeline.guard is None and (scored or lockstep_ready(pipeline)):
-                signature = model_signature(pipeline.model)
+                signature = self.signature(pipeline.model)
             if signature is None:
                 fallback.append((device_id, len(rows)))
                 continue

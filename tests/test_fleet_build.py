@@ -7,9 +7,9 @@ never needed there. These tests pin that the shortcut changes no bit:
 every registered family on every built-in dataset gets the same state
 (and guard state) as from a full build. They also pin that a fleet
 first touch never draws a test stream, that a user-registered dataset
-factory (which can only make both streams) still works, and that the
-cached :func:`repro.fleet.batching.model_signature` follows a
-``set_state`` that swaps the random layer.
+factory (which can only make both streams) still works, and that a
+:class:`~repro.fleet.batching.BatchPlanner` hashes a model's random
+layer once and again after a ``set_state`` that swaps it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from repro.engine import (
     build_streams,
 )
 from repro.fleet import FleetManager
-from repro.fleet.batching import model_signature
+from repro.fleet import batching
+from repro.fleet.batching import BatchPlanner, model_signature
 
 #: small, fast kwargs for every family (window and batches fit the streams)
 FAMILY_KWARGS = {
@@ -172,11 +173,24 @@ def test_user_registered_pair_factory_builds_and_runs_in_a_fleet(tmp_path, monke
     assert _digest(build_pipeline(specs["dev0"]).get_state()) == _digest(ref.get_state())
 
 
-def test_model_signature_follows_set_state():
-    a = build_pipeline(_spec("proposed", "blobs")).model
-    b = build_pipeline(_spec("proposed", "blobs").replace(model_seed=8)).model
-    before, other = model_signature(a), model_signature(b)
-    assert before != other
-    assert model_signature(a) == before  # cached: the same layer arrays
-    a.set_state(b.get_state())
-    assert model_signature(a) == other
+def test_planner_hashes_a_model_once_and_again_after_set_state(monkeypatch):
+    spec = _spec("proposed", "blobs")
+    a = build_pipeline(spec)
+    b = build_pipeline(spec.replace(model_seed=8))
+    rows = build_streams(spec)[1].X[:10]
+    planner = BatchPlanner()
+    hashed = []
+    monkeypatch.setattr(
+        batching, "model_signature", lambda m: hashed.append(m) or model_signature(m)
+    )
+
+    def signature(pipeline):
+        groups, _ = planner.plan([("dev", pipeline, rows)])
+        return groups[0].signature
+
+    first = signature(a)
+    assert signature(a) == first
+    assert len(hashed) == 1  # the second window reused the digest
+    a.model.set_state(b.model.get_state())
+    assert signature(a) == model_signature(b.model) != first
+    assert len(hashed) == 2
