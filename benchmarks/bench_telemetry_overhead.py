@@ -9,13 +9,22 @@ instrumentation code. This bench measures that directly by racing
 
 against
 
-* a hand-rolled replica of the pre-instrumentation chunked loop — the
-  same batched scoring, the same ``StepRecord`` construction, but zero
-  telemetry touch points
+* a hand-rolled replica of the shipped chunk path with its telemetry
+  probes removed — the same batched scoring, the same
+  :class:`~repro.core.records.RecordBlock` per chunk and the same
+  ``StepRecord`` list built from the blocks at the end, but no
+  telemetry touch point, span or interceptor
 
 on a pure-predict stream (frozen baseline model: no drifts, no
 reconstruction — the worst case for relative overhead, since there is no
 heavy adaptation work to hide behind).
+
+The replica must track the shipped path: when the shipped record path
+changes, so must the replica, or the smoke measures the difference
+between two record paths instead of the probes.
+``test_planted_cost_fails`` checks that the statistic sees a cost: a
+replica run's first 15% added to every shipped run must read over the
+bound.
 
 Two entry points:
 
@@ -39,6 +48,7 @@ import numpy as np
 from overhead import PAIRS, overhead_of, paired_runs, report
 
 from repro.core.pipeline import NoDetectionPipeline, StepRecord
+from repro.core.records import RecordBlock, phase_code, records_of
 from repro.datasets import DataStream
 from repro.oselm import MultiInstanceModel
 from repro.telemetry import RingBufferSink, configure
@@ -64,37 +74,33 @@ def make_fixture(n_samples: int = 8192, seed: int = 0):
 def uninstrumented_run(
     model: MultiInstanceModel, stream: DataStream, chunk: int = 256
 ) -> List[StepRecord]:
-    """The pre-instrumentation chunked pure-predict loop, verbatim.
+    """The shipped chunked pure-predict path with the telemetry probes removed.
 
-    Replicates what ``NoDetectionPipeline.run`` did before telemetry
-    existed: batched row-stable scoring per chunk plus per-sample
-    ``StepRecord`` construction — and nothing else.
+    What ``NoDetectionPipeline.run`` does per chunk — batched row-stable
+    scoring and one :class:`RecordBlock` of the chunk's columns — and
+    the one ``StepRecord`` list built from the blocks at the end; no
+    interceptor stack, no span, no ``tel.enabled`` check.
     """
-    records: List[StepRecord] = []
+    blocks: List[RecordBlock] = []
     X, y = stream.X, stream.y
-    n = len(stream)
-    i = 0
-    while i < n:
+    predict = phase_code("predict")
+    for i in range(0, len(stream), chunk):
         Xc, yc = X[i : i + chunk], y[i : i + chunk]
         S = model.scores_rowwise(Xc)
         labels = S.argmin(axis=1)
         scores = S[np.arange(len(S)), labels]
-        for j in range(len(Xc)):
-            p, t = int(labels[j]), int(yc[j])
-            records.append(
-                StepRecord(
-                    index=i + j,
-                    predicted=p,
-                    true_label=t,
-                    correct=p == t,
-                    anomaly_score=float(scores[j]),
-                    drift_detected=False,
-                    reconstructing=False,
-                    phase="predict",
-                )
-            )
-        i += len(Xc)
-    return records
+        n = len(labels)
+        blocks.append(RecordBlock(
+            i,
+            np.array(labels, dtype=np.int64),
+            yc.astype(np.int64),
+            None,
+            np.array(scores, dtype=np.float64),
+            np.full(n, predict, dtype=np.uint8),
+            np.zeros(n, dtype=np.bool_),
+            np.zeros(n, dtype=np.bool_),
+        ))
+    return records_of(blocks)
 
 
 # --------------------------------------------------------------------------
@@ -136,21 +142,36 @@ def test_overhead_within_bound():
     )
 
 
+def test_planted_cost_fails():
+    """Power check: a planted +15% cost must read over the bound."""
+    overhead = _measure(n_samples=4096, pairs=PAIRS, plant=0.15)[0]
+    assert overhead > OVERHEAD_BOUND, (
+        f"a planted +15% cost read {overhead:+.2%}, within {OVERHEAD_BOUND:.0%}"
+    )
+
+
 # --------------------------------------------------------------------------
 # Standalone smoke mode (CI)
 # --------------------------------------------------------------------------
 
 
-def _measure(*, n_samples: int, pairs: int) -> tuple:
+def _measure(*, n_samples: int, pairs: int, plant: float = 0.0) -> tuple:
     """Alternated A/B pairs → (overhead, fastest instrumented CPU seconds).
 
-    See ``overhead.py`` for the statistic.
+    ``plant`` adds that fraction of a replica run (its first
+    ``plant * n_samples`` samples) to every instrumented run. See
+    ``overhead.py`` for the statistic.
     """
     configure(enabled=False, sinks=[], reset=True)
     model, stream = make_fixture(n_samples=n_samples)
+    head = int(plant * n_samples)
+    planted = DataStream(stream.X[:head], stream.y[:head], name="planted")
 
     def instrumented():
-        return NoDetectionPipeline(model).run(stream)
+        records = NoDetectionPipeline(model).run(stream)
+        if head:
+            uninstrumented_run(model, planted)
+        return records
 
     def plain():
         return uninstrumented_run(model, stream)

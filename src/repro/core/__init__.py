@@ -23,6 +23,7 @@ from .pipeline import (
     StreamPipeline,
 )
 from .reconstruction import ModelReconstructor, ReconstructionStep
+from .records import RecordBlock
 from .threshold import (
     calibrate_drift_threshold,
     calibrate_error_threshold,
@@ -39,6 +40,7 @@ __all__ = [
     "MultiWindowDetector",
     "MultiWindowStep",
     "StepRecord",
+    "RecordBlock",
     "StreamPipeline",
     "ProposedPipeline",
     "NoDetectionPipeline",

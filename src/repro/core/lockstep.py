@@ -36,6 +36,12 @@ from ..utils.validation import as_matrix
 from .coords import init_coord_rows
 from .detector import ROW_CHECK, ROW_CLOSED, ROW_IDLE, SequentialDriftDetector
 from .pipeline import ProposedPipeline
+from .records import RecordBlock, phase_code
+
+#: record phase codes of Algorithm 2's steps
+_SEARCH, _UPDATE, _TRAIN_CENTROID, _TRAIN_PREDICT, _FINISH = map(
+    phase_code, ("search", "update", "train_centroid", "train_predict", "finish")
+)
 
 #: Smallest sets stepped in lockstep; a smaller set steps device by
 #: device, which costs less there. Measured on a 2-core x86-64 host with
@@ -206,11 +212,11 @@ def update_chunk_group(
 # -- Algorithm 2 ----------------------------------------------------------------------
 
 
-def reconstruct_group(jobs) -> List[list]:
+def reconstruct_group(jobs) -> List[RecordBlock]:
     """:meth:`StreamPipeline._reconstruct_chunk` for many pipelines.
 
     ``jobs`` holds ``(pipeline, X, y, drift_detected)`` per pipeline;
-    returns each one's records. Every pipeline advances one row per
+    returns each one's record block. Every pipeline advances one row per
     step: stacked instance scores and argmin labels, Init_Coord per
     device, stacked nearest-coordinate labels and Update_Coord folds,
     and one stacked rank-1 step on each device's trained instance. A
@@ -252,7 +258,11 @@ def reconstruct_group(jobs) -> List[list]:
     count = np.array([r.count for r in recons])
     seen = np.zeros(A * C, dtype=np.int64)
     metric = model.instances[0].error_metric
-    recs: List[list] = [[] for _ in jobs]
+    # Each device's record columns, row t at [a, t]; used[a] rows each.
+    labels_g = np.zeros((A, T), dtype=np.int64)
+    scores_g = np.zeros((A, T))
+    phases_g = np.zeros((A, T), dtype=np.uint8)
+    used = np.zeros(A, dtype=np.int64)
 
     def write_back(a: int) -> None:
         for c, inst in enumerate(pipes[a].model.instances):
@@ -302,42 +312,36 @@ def reconstruct_group(jobs) -> List[list]:
             B_f[flat] = Bk
             seen[flat] += 1
         done = cnt >= n_total[act]
-        for i, a in enumerate(act.tolist()):
-            c = int(cnt[i])
-            p = pipes[a]
-            if done[i]:
-                phase = "finish"
-                write_back(a)
-                recons[a]._finish()
-                p._end_reconstruction()
-            elif c < n_search[a]:
-                phase = "search"
-            elif c < n_update[a]:
-                phase = "update"
-            elif c < half[a]:
-                phase = "train_centroid"
-            else:
-                phase = "train_predict"
-            recs[a].append(
-                p._record(
-                    pred[i], score[i], jobs[a][2][t],
-                    drift_detected=jobs[a][3] and t == 0,
-                    reconstructing=True,
-                    phase=phase,
-                )
-            )
+        labels_g[act, t] = pred
+        scores_g[act, t] = score
+        phases_g[act, t] = np.select(
+            [done, cnt < n_search[act], cnt < n_update[act], by_coord],
+            [_FINISH, _SEARCH, _UPDATE, _TRAIN_CENTROID],
+            _TRAIN_PREDICT,
+        )
+        used[act] = t + 1
+        for a in act[done].tolist():
+            write_back(a)
+            recons[a]._finish()
+            pipes[a]._end_reconstruction()
         keep = ~done & (lens[act] > t + 1)
         if not keep.all():
             act = act[keep]
             full = False
             if not len(act):
                 break
+    blocks = []
     for a, p in enumerate(pipes):
         if recons[a].is_active:
             write_back(a)
-        p.model.count_predictions(len(recs[a]))
-        p.n_mutations += len(recs[a])
-    return recs
+        m = int(used[a])
+        p.model.count_predictions(m)
+        p.n_mutations += m
+        blocks.append(p._record_rows(
+            labels_g[a, :m], scores_g[a, :m], jobs[a][2], phases_g[a, :m],
+            drift_first=jobs[a][3], reconstructing=True,
+        ))
+    return blocks
 
 
 # -- the group step -------------------------------------------------------------------
@@ -362,8 +366,9 @@ def lockstep_ready(pipeline) -> bool:
     )
 
 
-def step_group(members) -> List[list]:
-    """One chunk step for every member of a group; returns their records.
+def step_group(members) -> List[RecordBlock]:
+    """One chunk step for every member of a group; returns their record
+    blocks.
 
     ``members`` holds ``(pipeline, consume, X, y, scored)`` per pipeline:
     ``consume(X, y, scored)`` is its own chunk step (its session's
@@ -380,7 +385,7 @@ def step_group(members) -> List[list]:
     :data:`MIN_LOCKSTEP_RECONSTRUCT`, and every other member, takes its
     own step.
     """
-    out: List[Optional[list]] = [None] * len(members)
+    out: List[Optional[RecordBlock]] = [None] * len(members)
     detect, recon = [], []
     for i, (p, consume, X, y, scored) in enumerate(members):
         if lockstep_ready(p):
@@ -424,6 +429,6 @@ def step_group(members) -> List[list]:
                 if drift
                 else consume(X, y, scored)
             )
-    for (i, _, _, _), recs in zip(jobs, done):
-        out[i] = recs if out[i] is None else out[i] + recs
+    for (i, _, _, _), block in zip(jobs, done):
+        out[i] = block if out[i] is None else RecordBlock.concat([out[i], block])
     return out

@@ -16,18 +16,17 @@ model, and benchmarks treat them uniformly:
 Plus :class:`ErrorRatePipeline` (DDM/ADWIN + OS-ELM) for the error-rate
 family the paper discusses but does not benchmark — useful for ablations.
 
-Every ``process_one`` returns a :class:`StepRecord`; ``run`` maps a
-:class:`~repro.datasets.stream.DataStream` to the list of records the
-metrics layer consumes.
+Every ``process_one`` returns a :class:`StepRecord`; every chunk step
+returns its records as one :class:`~repro.core.records.RecordBlock`;
+``run`` maps a :class:`~repro.datasets.stream.DataStream` to the list of
+records the metrics layer consumes.
 """
 
 from __future__ import annotations
 
 import abc
-from functools import partial
-from itertools import repeat
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from ..utils.exceptions import ConfigurationError
 from ..utils.validation import as_matrix, validate_checkpoint_config
 from .detector import ROW_CHECK, ROW_CLOSED, ROW_IDLE, SequentialDriftDetector
 from .reconstruction import ModelReconstructor
+from .records import RecordBlock, StepRecord, phase_code
 
 __all__ = [
     "StepRecord",
@@ -51,28 +51,13 @@ __all__ = [
 ]
 
 
-class StepRecord(NamedTuple):
-    """Everything the evaluation harness needs about one processed sample.
+_PREDICT = phase_code("predict")
+_REFIT = phase_code("refit")
+_FINISH = phase_code("finish")
 
-    A named tuple: immutable, iterable, and equal to a plain tuple of the
-    same values.
-    """
-
-    index: int
-    predicted: int
-    true_label: Optional[int]
-    correct: Optional[bool]
-    anomaly_score: float
-    drift_detected: bool
-    reconstructing: bool
-    phase: str
-
-
-#: ``StepRecord._make`` without its Python frame and length check
-_new_record = partial(tuple.__new__, StepRecord)
-
-#: record phase of each :meth:`SequentialDriftDetector.update_chunk` row code
-_ROW_PHASES = {ROW_IDLE: "predict", ROW_CHECK: "check", ROW_CLOSED: "predict"}
+#: record phase code of each :meth:`SequentialDriftDetector.update_chunk` row code
+_ROW_PHASES = np.empty(3, dtype=np.uint8)
+_ROW_PHASES[[ROW_IDLE, ROW_CHECK, ROW_CLOSED]] = [_PREDICT, phase_code("check"), _PREDICT]
 
 
 def _label_list(yc, n: int) -> List[Optional[int]]:
@@ -80,6 +65,17 @@ def _label_list(yc, n: int) -> List[Optional[int]]:
     if isinstance(yc, np.ndarray) and yc.dtype.kind in "iu":
         return yc[:n].tolist()
     return [None if y is None else int(y) for y in yc[:n]]
+
+
+def _label_columns(yc, n: int):
+    """The first ``n`` true labels of a chunk as a :class:`RecordBlock`'s
+    ``(true_label, missing)`` columns."""
+    if isinstance(yc, np.ndarray) and yc.dtype.kind in "iu":
+        return yc[:n].astype(np.int64), None
+    labels = _label_list(yc, n)
+    missing = [y is None for y in labels]
+    truth = np.array([-1 if y is None else y for y in labels], dtype=np.int64)
+    return truth, (np.array(missing) if any(missing) else None)
 
 
 class StreamPipeline(abc.ABC):
@@ -247,7 +243,7 @@ class StreamPipeline(abc.ABC):
 
     def _process_chunk(
         self, Xc: np.ndarray, yc: np.ndarray, scored=None
-    ) -> List[StepRecord]:
+    ) -> RecordBlock:
         """Consume a non-empty prefix of the chunk; returns its records.
 
         ``scored`` is ``(labels, scores)`` for the chunk's rows against
@@ -260,7 +256,9 @@ class StreamPipeline(abc.ABC):
         scored rows up to a detection, and reconstruct through
         :meth:`_reconstruct_chunk`.
         """
-        return [self.process_one(Xc[j], int(yc[j])) for j in range(len(Xc))]
+        return RecordBlock.from_records(
+            [self.process_one(Xc[j], int(yc[j])) for j in range(len(Xc))]
+        )
 
     def _score_chunk(self, Xc: np.ndarray, scored):
         """``scored``, or the model's ``(labels, scores)`` for ``Xc``
@@ -271,7 +269,7 @@ class StreamPipeline(abc.ABC):
 
     def _reconstruct_chunk(
         self, Xc: np.ndarray, yc, *, drift_detected: bool = False
-    ) -> List[StepRecord]:
+    ) -> RecordBlock:
         """Algorithm 2 over a prefix of the chunk; returns its records.
 
         Shared by the pipelines that answer a detection with
@@ -288,28 +286,34 @@ class StreamPipeline(abc.ABC):
         reconstructor = self.reconstructor
         X = as_matrix(Xc, name="X", n_features=model.n_features)
         H = np.array(model.hidden_rows(X))  # (instances, rows, hidden)
-        recs: List[StepRecord] = []
+        labels, scores, phases = [], [], []
         for j in range(len(X)):
             x = X[j]
             hidden = H[:, j : j + 1]
-            scores = model.scores_hidden(hidden, x)
-            c = int(scores.argmin())
+            row = model.scores_hidden(hidden, x)
+            c = int(row.argmin())
             step = reconstructor.process(x, hidden=hidden, predicted=c)
+            labels.append(c)
+            scores.append(row[c])
+            phases.append(phase_code(step.phase))
             if not step.still_reconstructing:
                 self._end_reconstruction()
-            recs.append(
-                self._record(
-                    c, scores[c], yc[j],
-                    drift_detected=drift_detected and j == 0,
-                    reconstructing=True,
-                    phase=step.phase,
-                )
-            )
-            if not step.still_reconstructing:
                 break
-        model.count_predictions(len(recs))
-        self.n_mutations += len(recs)
-        return recs
+        model.count_predictions(len(labels))
+        self.n_mutations += len(labels)
+        return self._record_rows(
+            labels, scores, yc, phases,
+            drift_first=drift_detected, reconstructing=True,
+        )
+
+    def _then_reconstruct(self, block: RecordBlock, Xc, yc) -> RecordBlock:
+        """``block`` followed by the record of the row after it — the row
+        that raised a detection, which is also Algorithm 2's first."""
+        n = len(block)
+        return RecordBlock.concat([
+            block,
+            self._reconstruct_chunk(Xc[n : n + 1], yc[n : n + 1], drift_detected=True),
+        ])
 
     def _end_reconstruction(self) -> None:
         """Hook: the reconstructor reported completion for this sample."""
@@ -376,39 +380,53 @@ class StreamPipeline(abc.ABC):
 
     def _record_rows(
         self,
-        labels: List[int],
-        scores: List[float],
-        ys: List[Optional[int]],
-        phases: Union[str, Sequence[str]],
-    ) -> List[StepRecord]:
-        """Records for a run of rows that neither detect nor reconstruct.
+        labels,
+        scores,
+        yc,
+        phases: Union[int, Sequence[int]],
+        *,
+        drift_first: bool = False,
+        reconstructing: bool = False,
+    ) -> RecordBlock:
+        """The block of records for the next ``len(labels)`` rows.
 
-        ``labels``/``scores``/``ys`` are Python ints/floats/ints-or-None,
-        one per row; ``phases`` is one phase for every row or one per
-        row. The result equals one :meth:`_record` call per row: such rows
-        only advance the index, close a finished reconstruction's edge
-        state and, with telemetry on, count as processed samples.
+        ``labels``/``scores`` hold one predicted label and anomaly score
+        per row, ``yc`` the chunk's true labels (its first rows are
+        used) and ``phases`` one phase code for every row or one per
+        row. ``drift_first`` marks the first row as the detection
+        sample, ``reconstructing`` every row as a reconstruction step.
+        The block equals one :meth:`_record` call per row, and so do the
+        side effects: the index advances, a detection is noted, the
+        reconstruction edge state follows the last row and, with
+        telemetry on, every record counts as a processed sample.
         """
         n = len(labels)
-        if isinstance(phases, str):
-            phases = repeat(phases, n)
         start = self._index
+        truth, missing = _label_columns(yc, n)
+        drift = np.zeros(n, dtype=np.bool_)
+        if drift_first and n:
+            drift[0] = True
+            self.detections.append(start)
+        block = RecordBlock(
+            start,
+            np.array(labels, dtype=np.int64),
+            truth,
+            missing,
+            np.array(scores, dtype=np.float64),
+            np.array(phases, dtype=np.uint8)
+            if np.ndim(phases)
+            else np.full(n, phases, dtype=np.uint8),
+            drift,
+            np.full(n, reconstructing, dtype=np.bool_),
+        )
         self._index = start + n
-        correct = [None if y is None else c == y for c, y in zip(labels, ys)]
-        recs = list(map(
-            _new_record,
-            zip(
-                range(start, start + n), labels, ys, correct, scores,
-                repeat(False, n), repeat(False, n), phases,
-            ),
-        ))
         tel = self.telemetry
         if tel.enabled:
-            for rec in recs:
+            for rec in block.records():
                 self._telemetry_step(tel, rec)
         elif n:
-            self._in_recon = False
-        return recs
+            self._in_recon = reconstructing and int(block.phase[-1]) != _FINISH
+        return block
 
     def _telemetry_step(self, tel: Telemetry, rec: StepRecord) -> None:
         """Per-sample metrics + the drift/reconstruction event edges."""
@@ -482,13 +500,11 @@ class NoDetectionPipeline(StreamPipeline):
         c, err = self.model.predict_with_score(x)
         return self._record(c, err, y_true)
 
-    def _process_chunk(self, Xc: np.ndarray, yc: np.ndarray, scored=None) -> List[StepRecord]:
+    def _process_chunk(self, Xc: np.ndarray, yc: np.ndarray, scored=None) -> RecordBlock:
         # The model is frozen, so every chunk is one batched forward pass.
         labels, scores = self._score_chunk(Xc, scored)
         self.model.count_predictions(len(labels))
-        return self._record_rows(
-            labels.tolist(), scores.tolist(), _label_list(yc, len(labels)), "predict"
-        )
+        return self._record_rows(labels, scores, yc, _PREDICT)
 
     def prefers_batched_scoring(self) -> bool:
         # Frozen model: always a pure forward pass.
@@ -549,9 +565,9 @@ class ProposedPipeline(StreamPipeline):
 
     def process_one(self, x: np.ndarray, y_true: Optional[int] = None) -> StepRecord:
         x = as_matrix(x, name="x", n_features=self.model.n_features)
-        return self._process_chunk(x, (y_true,))[0]
+        return self._process_chunk(x, (y_true,)).records()[0]
 
-    def _process_chunk(self, Xc: np.ndarray, yc, scored=None) -> List[StepRecord]:
+    def _process_chunk(self, Xc: np.ndarray, yc, scored=None) -> RecordBlock:
         # Lines 20-21: while the drift flag is up the stream drives
         # reconstruction.
         if self.detector.drift:
@@ -563,25 +579,19 @@ class ProposedPipeline(StreamPipeline):
         # sees (line 21 runs in the same loop iteration).
         labels, scores = self._score_chunk(Xc, scored)
         status = self.detector.update_chunk(Xc, labels, scores)
-        recs = self._detected_rows(labels, scores, yc, status)
+        block = self._detected_rows(labels, scores, yc, status)
         if self.detector.drift:
-            n = len(recs)
-            recs += self._reconstruct_chunk(
-                Xc[n : n + 1], yc[n : n + 1], drift_detected=True
-            )
-        return recs
+            block = self._then_reconstruct(block, Xc, yc)
+        return block
 
-    def _detected_rows(self, labels, scores, yc, status) -> List[StepRecord]:
+    def _detected_rows(self, labels, scores, yc, status) -> RecordBlock:
         """Records of the rows Algorithm 1 consumed (``status``, one code
         per row), up to but excluding a row that raised the drift flag."""
         self.n_mutations += int(np.count_nonzero(status))
         n = len(status) - int(self.detector.drift)
         self.model.count_predictions(n)
         return self._record_rows(
-            labels[:n].tolist(),
-            scores[:n].tolist(),
-            _label_list(yc, n),
-            [_ROW_PHASES[code] for code in status[:n].tolist()],
+            labels[:n], scores[:n], yc, _ROW_PHASES[status[:n]]
         )
 
     def _end_reconstruction(self) -> None:
@@ -671,9 +681,9 @@ class BatchDetectorPipeline(StreamPipeline):
 
     def process_one(self, x: np.ndarray, y_true: Optional[int] = None) -> StepRecord:
         x = as_matrix(x, name="x", n_features=self.model.n_features)
-        return self._process_chunk(x, (y_true,))[0]
+        return self._process_chunk(x, (y_true,)).records()[0]
 
-    def _process_chunk(self, Xc: np.ndarray, yc, scored=None) -> List[StepRecord]:
+    def _process_chunk(self, Xc: np.ndarray, yc, scored=None) -> RecordBlock:
         if self._reconstructing:
             return self._reconstruct_chunk(Xc, yc)
         # Buffering and refitting never touch the model, so the chunk is
@@ -691,39 +701,30 @@ class BatchDetectorPipeline(StreamPipeline):
                 break
         self.model.count_predictions(n)
         self.n_mutations += n
-        recs = self._record_rows(
-            labels[:n].tolist(), scores[:n].tolist(), _label_list(yc, n), "predict"
-        )
+        block = self._record_rows(labels[:n], scores[:n], yc, _PREDICT)
         if self._reconstructing:
-            recs += self._reconstruct_chunk(
-                Xc[n : n + 1], yc[n : n + 1], drift_detected=True
-            )
-        return recs
+            block = self._then_reconstruct(block, Xc, yc)
+        return block
 
-    def _refit_chunk(self, Xc, yc, labels, scores) -> List[StepRecord]:
+    def _refit_chunk(self, Xc, yc, labels, scores) -> RecordBlock:
         """Collect the new reference window; the chunk ends when it fills."""
         batch = self.detector.batch_size
         take = min(len(labels), batch - len(self._refit_buffer))
         self._refit_buffer.extend(
             np.asarray(x, dtype=np.float64).ravel() for x in Xc[:take]
         )
-        recs = [
-            self._record(labels[j], scores[j], yc[j], phase="refit")
-            for j in range(take - 1)
-        ]
         if len(self._refit_buffer) >= batch:
             self.detector.fit_reference(np.asarray(self._refit_buffer))
             self._refit_buffer = []
             self._refitting = False
+            # The reference fits on the chunk's last row, whose index the
+            # event names.
             self.telemetry.emit(
-                "reference_refitted", pipeline=self.name, index=self._index
+                "reference_refitted", pipeline=self.name, index=self._index + take - 1
             )
-        recs.append(
-            self._record(labels[take - 1], scores[take - 1], yc[take - 1], phase="refit")
-        )
         self.model.count_predictions(take)
         self.n_mutations += take
-        return recs
+        return self._record_rows(labels[:take], scores[:take], yc, _REFIT)
 
     def prefers_batched_scoring(self) -> bool:
         # The detector only buffers between batch tests; the model itself
@@ -809,9 +810,9 @@ class ErrorRatePipeline(StreamPipeline):
                 f"{self.name} needs ground-truth labels (supervised detection)."
             )
         x = as_matrix(x, name="x", n_features=self.model.n_features)
-        return self._process_chunk(x, (y_true,))[0]
+        return self._process_chunk(x, (y_true,)).records()[0]
 
-    def _process_chunk(self, Xc: np.ndarray, yc, scored=None) -> List[StepRecord]:
+    def _process_chunk(self, Xc: np.ndarray, yc, scored=None) -> RecordBlock:
         if self._reconstructing:
             return self._reconstruct_chunk(Xc, yc)
         # The model is only mutated by reconstruction, so chunk scores stay
@@ -829,12 +830,10 @@ class ErrorRatePipeline(StreamPipeline):
                 break
         self.model.count_predictions(n)
         self.n_mutations += n
-        recs = self._record_rows(predicted[:n], scores[:n].tolist(), ys[:n], "predict")
+        block = self._record_rows(labels[:n], scores[:n], yc, _PREDICT)
         if self._reconstructing:
-            recs += self._reconstruct_chunk(
-                Xc[n : n + 1], yc[n : n + 1], drift_detected=True
-            )
-        return recs
+            block = self._then_reconstruct(block, Xc, yc)
+        return block
 
     def prefers_batched_scoring(self) -> bool:
         # DDM/ADWIN statistics update per sample but never touch the model.

@@ -31,8 +31,9 @@ Persistence contract (unchanged):
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Union
+from typing import List, Optional, Union
 
+from ..core.records import RecordBlock
 from .context import RunContext
 from .interceptors import Interceptor
 
@@ -91,7 +92,18 @@ class CheckpointInterceptor(Interceptor):
         self._unsynced = 0
         self._last_saved = ctx.position
         self._last_appended = ctx.position
+        #: the blocks observed since the last append: the records not
+        #: yet in the log
+        self._pending: List[RecordBlock] = []
         self._stream_id = stream_id(ctx.stream)
+        if not self._state_written:
+            # A fresh run starts a fresh log, so a container an earlier
+            # run left at the path (``--checkpoint-dir`` re-run after an
+            # interrupt, ``evaluate_method(resume=False)``) no longer
+            # describes it. Left in place, a kill after this run's first
+            # log block but before its first container lands would let
+            # resume pair the stale state with the new records.
+            self.path.unlink(missing_ok=True)
         self._log = RecordLogWriter(
             record_log_path(self.path), trusted_bytes=self._trusted_bytes
         )
@@ -102,7 +114,14 @@ class CheckpointInterceptor(Interceptor):
         # ``every`` (a state change may still end the chunk earlier).
         return min(take, max(1, self._last_saved + self.every - ctx.position))
 
-    def after_chunk(self, ctx: RunContext, recs: list) -> None:
+    def _append(self, epoch: int) -> None:
+        """Buffer the records since the last append as one log block."""
+        self._log.append(self._pending, start_index=self._last_appended, epoch=epoch)
+        self._last_appended += sum(len(b) for b in self._pending)
+        self._pending = []
+
+    def after_chunk(self, ctx: RunContext, block: RecordBlock) -> None:
+        self._pending.append(block)
         i = ctx.position
         if not self._dirty and ctx.pipeline.n_mutations != self._clean_mark:
             # The pipeline counts every step that may change its state,
@@ -114,12 +133,7 @@ class CheckpointInterceptor(Interceptor):
                 # before its container: a crash in between leaves a
                 # higher-epoch tail that resume correctly distrusts.
                 self._epoch += 1
-                self._log.append(
-                    ctx.records[self._last_appended : i],
-                    start_index=self._last_appended,
-                    epoch=self._epoch,
-                )
-                self._last_appended = i
+                self._append(self._epoch)
                 # The block must reach the OS before the sync + container
                 # task can run (sync only fsyncs the fd).
                 self._log.flush()
@@ -138,12 +152,7 @@ class CheckpointInterceptor(Interceptor):
                 # either way.
                 self._unsynced += 1
                 if self._unsynced >= self._sync_blocks:
-                    self._log.append(
-                        ctx.records[self._last_appended : i],
-                        start_index=self._last_appended,
-                        epoch=self._epoch,
-                    )
-                    self._last_appended = i
+                    self._append(self._epoch)
                     self._log.flush()
                     if self._durable:
                         self._writer.submit(self._log.sync, scope=self)
@@ -186,13 +195,9 @@ class CheckpointInterceptor(Interceptor):
         # rather than the last boundary. (A dirty tail is useless to
         # resume — the on-disk state predates it — so it is dropped.)
         # Never let persistence errors mask the original exception.
-        if not self._dirty and ctx.position > self._last_appended:
+        if not self._dirty and self._pending:
             try:
-                self._log.append(
-                    ctx.records[self._last_appended : ctx.position],
-                    start_index=self._last_appended,
-                    epoch=self._epoch,
-                )
+                self._append(self._epoch)
                 self._log.flush()
             except Exception:
                 pass

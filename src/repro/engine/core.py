@@ -21,6 +21,7 @@ from contextlib import ExitStack
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
+from ..core.records import RecordBlock
 from ..utils.exceptions import CheckpointCorruptError, ConfigurationError
 from ..utils.validation import validate_checkpoint_config
 from .checkpoint import CheckpointInterceptor, stream_id
@@ -67,25 +68,28 @@ def drive_chunks(
     *,
     base: int,
     stop: int,
-) -> None:
+) -> List[RecordBlock]:
     """Advance ``ctx.position`` to ``stop`` through the prepared chain.
 
     ``X``/``y`` hold the samples for stream-global indices
     ``[base, base + len(X))`` — a whole stream for :class:`StreamEngine`
     (``base=0``) or one externally-arriving chunk for a
-    :class:`~repro.engine.session.StreamSession`.
+    :class:`~repro.engine.session.StreamSession`. Returns the consumed
+    chunks' blocks.
     """
+    consumed = []
     while ctx.position < stop:
         i = ctx.position
         take = stop - i
         for ic in clampers:
             take = ic.clamp(ctx, take)
         lo = i - base
-        recs = consume(X[lo : lo + take], y[lo : lo + take])
-        ctx.records.extend(recs)
-        ctx.position = i + len(recs)
+        block = consume(X[lo : lo + take], y[lo : lo + take])
+        ctx.store(block)
+        consumed.append(block)
         for ic in observers:
-            ic.after_chunk(ctx, recs)
+            ic.after_chunk(ctx, block)
+    return consumed
 
 
 class StreamEngine:
@@ -98,11 +102,11 @@ class StreamEngine:
         stack: Sequence[Interceptor],
         *,
         start: int = 0,
-        records: Optional[list] = None,
+        blocks: Optional[List[RecordBlock]] = None,
     ) -> None:
         self.stack: List[Interceptor] = list(stack)
         self.ctx = RunContext.for_run(
-            pipeline, stream, start=start, records=records
+            pipeline, stream, start=start, blocks=blocks
         )
 
     def run(self) -> list:
@@ -126,8 +130,7 @@ class StreamEngine:
                 # Reference loop: per-sample, no slicing, no chunk spans.
                 pipeline = ctx.pipeline
                 recs = [pipeline.process_one(x, y) for x, y in ctx.stream]
-                ctx.records.extend(recs)
-                ctx.position = ctx.n
+                ctx.store(RecordBlock.from_records(recs))
             else:
                 consume, clampers, observers = prepare_stack(stack, ctx)
                 drive_chunks(
@@ -140,7 +143,7 @@ class StreamEngine:
             raise
         for ic in stack:
             ic.on_complete(ctx)
-        return ctx.records
+        return ctx.records()
 
 
 def default_stack(
@@ -221,8 +224,9 @@ def resume_stream(
         )
     epoch = int(state["epoch"])
     base_position = int(state["position"])
-    records, trusted_bytes = read_record_log(record_log_path(path), max_epoch=epoch)
-    if len(records) < base_position:
+    blocks, trusted_bytes = read_record_log(record_log_path(path), max_epoch=epoch)
+    position = sum(len(b) for b in blocks)
+    if position < base_position:
         tel = pipeline.telemetry
         if tel.enabled:
             tel.registry.counter(
@@ -230,10 +234,9 @@ def resume_stream(
             ).inc()
         raise CheckpointCorruptError(
             f"record log for {path} is missing or damaged before the "
-            f"checkpoint position ({len(records)} of {base_position} "
+            f"checkpoint position ({position} of {base_position} "
             "records recovered)."
         )
-    position = len(records)
     pipeline.set_state(state["pipeline"])
     # The trusted log may extend past the container's position by clean
     # intervals (only the sample counter advanced); fast-forward the
@@ -269,5 +272,5 @@ def resume_stream(
         ),
     )
     return StreamEngine(
-        pipeline, stream, stack, start=position, records=records
+        pipeline, stream, stack, start=position, blocks=blocks
     ).run()

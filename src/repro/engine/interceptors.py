@@ -38,6 +38,7 @@ from typing import Callable, ContextManager, Optional
 
 import numpy as np
 
+from ..core.records import RecordBlock
 from .context import RunContext
 
 __all__ = [
@@ -50,8 +51,9 @@ __all__ = [
 #: Signature of one link of the per-chunk consume chain: ``(Xc, yc)``,
 #: optionally followed by the rows' precomputed ``(labels, scores)``
 #: (``StreamPipeline._process_chunk``'s ``scored``), which a link passes
-#: on unchanged.
-Consume = Callable[..., list]
+#: on unchanged. A link returns the consumed prefix's
+#: :class:`~repro.core.records.RecordBlock`.
+Consume = Callable[..., RecordBlock]
 
 
 class Interceptor:
@@ -76,7 +78,7 @@ class Interceptor:
         """Wrap the downstream consume chain; default passes it through."""
         return consume
 
-    def after_chunk(self, ctx: RunContext, recs: list) -> None:
+    def after_chunk(self, ctx: RunContext, block: RecordBlock) -> None:
         """Observe the chunk just consumed (``ctx.position`` already advanced)."""
 
     def on_abort(self, ctx: RunContext) -> None:
@@ -121,7 +123,7 @@ class GuardInterceptor(Interceptor):
     def wrap_consume(self, ctx: RunContext, consume: Consume) -> Consume:
         pipeline = ctx.pipeline
 
-        def dispatch(Xc: np.ndarray, yc: np.ndarray, *scored) -> list:
+        def dispatch(Xc: np.ndarray, yc: np.ndarray, *scored) -> RecordBlock:
             guard = pipeline.guard
             if guard is None:
                 return consume(Xc, yc, *scored)
@@ -168,7 +170,7 @@ class TelemetryInterceptor(Interceptor):
         tel = self.telemetry
         name = ctx.pipeline.name
 
-        def traced(Xc: np.ndarray, yc: np.ndarray, *scored) -> list:
+        def traced(Xc: np.ndarray, yc: np.ndarray, *scored) -> RecordBlock:
             with tel.span("pipeline.chunk", pipeline=name, start=ctx.position):
                 return consume(Xc, yc, *scored)
 
@@ -176,10 +178,10 @@ class TelemetryInterceptor(Interceptor):
 
     # -- drift provenance ------------------------------------------------------
 
-    def after_chunk(self, ctx: RunContext, recs: list) -> None:
+    def after_chunk(self, ctx: RunContext, block: RecordBlock) -> None:
         if not self.telemetry.enabled:
             return
-        for rec in recs:
+        for rec in block.records():
             if rec.drift_detected:
                 if self._open is not None:
                     # A fresh drift before the last one recovered: the

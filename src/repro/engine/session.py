@@ -33,6 +33,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..core.records import RecordBlock, records_of
 from ..utils.exceptions import ConfigurationError
 from .context import RunContext
 from .core import drive_chunks, prepare_stack
@@ -62,12 +63,18 @@ class StreamSession:
         Stream-global index of the first sample the session will see.
     records:
         Pre-existing records ``[0, start)`` for a resumed/restored
-        session; the session appends to this list.
+        session, as :class:`~repro.core.records.StepRecord` tuples.
+    blocks:
+        The same prefix as :class:`~repro.core.records.RecordBlock`
+        columns (give one of ``records`` and ``blocks``).
 
     Lifecycle: ``open() → feed()* → close()`` (or ``abort()``). ``feed``
-    returns the records for *its* samples; :attr:`records` accumulates
-    everything. A consume-chain exception tears the session down
-    (``on_abort`` + scope exit) before propagating.
+    returns the records for *its* samples; the session keeps them as
+    blocks (:attr:`blocks`, short ones merged by
+    :meth:`~repro.engine.context.RunContext.store`), and
+    :attr:`records` builds the whole list. A consume-chain exception
+    tears the session down (``on_abort`` + scope exit) before
+    propagating.
     """
 
     def __init__(
@@ -77,8 +84,11 @@ class StreamSession:
         *,
         start: int = 0,
         records: Optional[list] = None,
+        blocks: Optional[List[RecordBlock]] = None,
     ) -> None:
         self.stack: List[Interceptor] = list(stack)
+        if records:
+            blocks = [RecordBlock.from_records(records)]
         self.ctx = RunContext(
             pipeline=pipeline,
             stream=None,
@@ -86,7 +96,7 @@ class StreamSession:
             y=_EMPTY_Y,
             n=int(start),
             position=int(start),
-            records=[] if records is None else records,
+            blocks=[] if blocks is None else list(blocks),
         )
         self._scopes: Optional[ExitStack] = None
         self._prepared = None
@@ -106,7 +116,12 @@ class StreamSession:
     @property
     def records(self) -> list:
         """All records this session (and any restored prefix) produced."""
-        return self.ctx.records
+        return self.ctx.records()
+
+    @property
+    def blocks(self) -> List[RecordBlock]:
+        """The same records as blocks, in stream order."""
+        return self.ctx.blocks
 
     @property
     def is_open(self) -> bool:
@@ -143,20 +158,22 @@ class StreamSession:
         the same clamp → consume → observe loop as a whole-stream run,
         so schedulers still split it and guards still screen it.
         """
+        return records_of(self.feed_blocks(Xc, yc))
+
+    def feed_blocks(self, Xc: np.ndarray, yc: np.ndarray) -> List[RecordBlock]:
+        """:meth:`feed`, returning the chunk's record blocks."""
         Xc, yc = self._check_chunk(Xc, yc)
         if len(Xc) == 0:
             return []
-        ctx = self.ctx
-        base, stop, before = self._begin_chunk(Xc, yc)
+        base, stop = self._begin_chunk(Xc, yc)
         consume, clampers, observers = self._prepared
         try:
-            drive_chunks(
-                ctx, consume, clampers, observers, Xc, yc, base=base, stop=stop
+            return drive_chunks(
+                self.ctx, consume, clampers, observers, Xc, yc, base=base, stop=stop
             )
         except BaseException:
             self._teardown(ok=False)
             raise
-        return ctx.records[before:]
 
     def _check_chunk(self, Xc, yc):
         if self._scopes is None:
@@ -172,22 +189,25 @@ class StreamSession:
         return Xc, yc
 
     def _begin_chunk(self, Xc, yc):
-        """Point the context at a new chunk; returns ``(base, stop,
-        records before it)``."""
+        """Point the context at a new chunk; returns ``(base, stop)``."""
         ctx = self.ctx
         base = ctx.position
         ctx.X, ctx.y = Xc, yc
         ctx.n = base + len(Xc)
-        return base, ctx.n, len(ctx.records)
+        return base, ctx.n
 
     def close(self) -> list:
         """Fire ``on_complete``, exit the scopes; returns all records.
 
         Idempotent: closing a closed session just returns the records.
         """
+        return records_of(self.close_blocks())
+
+    def close_blocks(self) -> List[RecordBlock]:
+        """:meth:`close`, returning the session's record blocks."""
         if self._scopes is not None:
             self._teardown(ok=True)
-        return self.ctx.records
+        return self.ctx.blocks
 
     def abort(self) -> None:
         """Fire ``on_abort`` and exit the scopes (no-op when closed)."""
@@ -217,15 +237,15 @@ def drive_group(sessions: Sequence[StreamSession], chunks, step) -> List[list]:
     :func:`~repro.engine.core.drive_chunks` would, and hands all of them
     to ``step`` at once as ``(k, consume, Xs, ys)`` tuples, where
     ``consume`` is session ``k``'s consume chain. ``step`` returns one
-    record list per slice: a non-empty prefix of it, as the chain would
-    have consumed. Records, position and ``after_chunk`` observers are
+    record block per slice: a non-empty prefix of it, as the chain would
+    have consumed. Blocks, position and ``after_chunk`` observers are
     then handled per session as ``drive_chunks`` does, and a session
     moves on to its next chunk once the current one is consumed.
 
-    Returns, per session, one record list per chunk: what :meth:`feed`
-    would have returned for it. A round that raises tears down every
-    session in it before the exception propagates, as :meth:`feed` does
-    for its one session.
+    Returns, per session, one block list per chunk: what
+    :meth:`feed_blocks` would have returned for it. A round that raises
+    tears down every session in it before the exception propagates, as
+    :meth:`feed` does for its one session.
     """
     queues = [
         [session._check_chunk(Xc, yc) for Xc, yc in session_chunks][::-1]
@@ -239,7 +259,7 @@ def drive_group(sessions: Sequence[StreamSession], chunks, step) -> List[list]:
         while queues[k]:
             Xc, yc = queues[k].pop()
             if len(Xc):
-                current[k] = (Xc, yc, *sessions[k]._begin_chunk(Xc, yc))
+                current[k] = (Xc, yc, *sessions[k]._begin_chunk(Xc, yc), [])
                 return True
             out[k].append([])
         return False
@@ -260,24 +280,23 @@ def drive_group(sessions: Sequence[StreamSession], chunks, step) -> List[list]:
             )
         try:
             results = step(slices)
-            for (k, _, _, _), recs in zip(slices, results):
+            for (k, _, _, _), block in zip(slices, results):
                 ctx = sessions[k].ctx
-                ctx.records.extend(recs)
-                ctx.position += len(recs)
+                ctx.store(block)
+                current[k][4].append(block)
                 for ic in sessions[k]._prepared[2]:
-                    ic.after_chunk(ctx, recs)
+                    ic.after_chunk(ctx, block)
         except BaseException:
             for k in active:
                 sessions[k]._teardown(ok=False)
             raise
         still = []
         for k in active:
-            _, _, _, stop, before = current[k]
-            ctx = sessions[k].ctx
-            if ctx.position < stop:
+            _, _, _, stop, consumed = current[k]
+            if sessions[k].ctx.position < stop:
                 still.append(k)
                 continue
-            out[k].append(ctx.records[before:])
+            out[k].append(consumed)
             if advance(k):
                 still.append(k)
         active = still

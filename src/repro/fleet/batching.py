@@ -138,11 +138,11 @@ class BatchGroup:
         ]
         return len(X)
 
-    def step(self, slices) -> List[list]:
+    def step(self, slices) -> list:
         """One :func:`~repro.engine.drive_group` round for this group.
 
         ``slices`` holds ``(k, consume, X, y)`` with ``k`` indexing
-        :attr:`members`; returns each slice's records.
+        :attr:`members`; returns each slice's record block.
         """
         members = self.members
         batch = []
@@ -155,8 +155,8 @@ class BatchGroup:
                 scored = (labels[off : off + len(X)], scores[off : off + len(X)])
             batch.append((pipeline, consume, X, y, scored))
         results = step_group(batch)
-        for (k, _, _, _), recs in zip(slices, results):
-            if k < len(self._scored) and recs[-1].reconstructing:
+        for (k, _, _, _), block in zip(slices, results):
+            if k < len(self._scored) and block.reconstructing[-1]:
                 # The model trained: the rest of the scores are stale.
                 self._scored[k] = None
         return results

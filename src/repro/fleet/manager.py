@@ -4,7 +4,7 @@ A :class:`FleetManager` owns one :class:`~repro.engine.session.StreamSession`
 per registered device and multiplexes them through a single process.
 Resident sessions are bounded by an LRU capacity; the coldest session is
 evicted to a :mod:`repro.resilience` checkpoint container (pipeline +
-guard state plus its column-encoded records) and lazily restored the
+guard state plus its records in the shared record codec) and lazily restored the
 next time that device's samples arrive. The restore assembles the
 pipeline from the spooled state alone
 (:func:`~repro.engine.spec.restore_pipeline`): no dataset synthesis, no
@@ -30,6 +30,7 @@ from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
+from ..core.records import RecordBlock, decode_block, encode_blocks, records_of
 from ..engine.interceptors import (
     ChunkScheduler,
     GuardInterceptor,
@@ -39,6 +40,7 @@ from ..engine.session import StreamSession, drive_group
 from ..engine.spec import ExperimentSpec, restore_pipeline
 from ..utils.exceptions import (
     CheckpointError,
+    CheckpointVersionError,
     ConfigurationError,
     DeviceQuarantinedError,
 )
@@ -52,6 +54,10 @@ BATCH_GROUP_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 #: Checkpoint container kind for evicted sessions (see repro.resilience).
 SESSION_KIND = "fleet-session"
+#: Layout revision of a spooled session, kept in the container's meta.
+#: 2: records in the shared record codec (repro.core.records). A file of
+#: another revision is refused as corrupt.
+SPOOL_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -209,7 +215,9 @@ class FleetManager:
         self._specs: Dict[str, ExperimentSpec] = {}
         self._resident: "OrderedDict[str, StreamSession]" = OrderedDict()
         self._evicted: Dict[str, Path] = {}
-        self._finished: Dict[str, List] = {}
+        #: finished devices' records, one block each (built into
+        #: StepRecords on every finish())
+        self._finished: Dict[str, RecordBlock] = {}
         self._quarantined: Dict[str, str] = {}
         self._closed = False
 
@@ -249,18 +257,18 @@ class FleetManager:
         self._check_open()
         if device_id in self._quarantined:
             raise DeviceQuarantinedError(device_id, self._quarantined[device_id])
-        records = self._touch(device_id).feed(Xc, yc)
-        self._count_chunk(device_id, len(Xc), records)
-        return records
+        blocks = self._touch(device_id).feed_blocks(Xc, yc)
+        self._count_chunk(device_id, len(Xc), blocks)
+        return records_of(blocks)
 
-    def _count_chunk(self, device_id: str, n: int, records: list) -> None:
+    def _count_chunk(self, device_id: str, n: int, blocks: list) -> None:
         """Stats and per-device telemetry for one consumed chunk."""
         self.stats.samples += n
         self.stats.chunks += 1
         self.stats.device_samples[device_id] = (
             self.stats.device_samples.get(device_id, 0) + n
         )
-        drifts = sum(1 for r in records if r.drift_detected)
+        drifts = sum(block.n_drifts() for block in blocks)
         if drifts:
             self.stats.device_drifts[device_id] = (
                 self.stats.device_drifts.get(device_id, 0) + drifts
@@ -415,10 +423,10 @@ class FleetManager:
                 group.step,
             )
             for device_id, per_chunk in zip(member_ids, results):
-                for pos, records in zip(window_devices[device_id], per_chunk):
-                    out[pos] = records
+                for pos, blocks in zip(window_devices[device_id], per_chunk):
+                    out[pos] = records_of(blocks)
                     stepped.add(pos)
-                    self._count_chunk(device_id, len(batch[pos][1]), records)
+                    self._count_chunk(device_id, len(batch[pos][1]), blocks)
         fallback_samples = sum(n for _, n in fallback)
         if fallback_samples:
             self.stats.fallback_samples += fallback_samples
@@ -438,20 +446,20 @@ class FleetManager:
         """
         self._check_open()
         if device_id in self._finished:
-            return self._finished[device_id]
+            return self._finished[device_id].records()
         if device_id not in self._specs:
             raise ConfigurationError(f"unknown device {device_id!r}.")
         if device_id in self._quarantined or (
             device_id not in self._resident and device_id not in self._evicted
         ):
-            self._finished[device_id] = []
+            self._finished[device_id] = RecordBlock.empty()
             return []
         session = self._touch(device_id)
-        records = session.close()
+        block = RecordBlock.concat(session.close_blocks())
         del self._resident[device_id]
-        self._finished[device_id] = records
+        self._finished[device_id] = block
         self._set_resident_gauge()
-        return records
+        return block.records()
 
     def finish_all(self) -> Dict[str, list]:
         """Finish every registered device; returns ``device_id -> records``."""
@@ -681,7 +689,7 @@ class FleetManager:
 
     def _spool_session(self, device_id: str, session: StreamSession) -> Path:
         """Write ``session``'s full state to the device's spool file."""
-        from ..resilience import encode_records, save_checkpoint
+        from ..resilience import save_checkpoint
 
         pipeline = session.pipeline
         guard = pipeline.guard
@@ -689,7 +697,7 @@ class FleetManager:
             "position": session.position,
             "pipeline": pipeline.get_state(),
             "guard": None if guard is None else guard.get_state(),
-            "records": encode_records(session.records),
+            "records": np.frombuffer(encode_blocks(session.blocks), np.uint8),
         }
         path = self._spool_path(device_id)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -700,7 +708,11 @@ class FleetManager:
             path,
             state,
             kind=SESSION_KIND,
-            meta={"device": device_id, "pipeline": type(pipeline).__name__},
+            meta={
+                "device": device_id,
+                "pipeline": type(pipeline).__name__,
+                "spool_format": SPOOL_FORMAT_VERSION,
+            },
             durable=False,
         )
         return path
@@ -722,12 +734,18 @@ class FleetManager:
         self._set_resident_gauge()
 
     def _restore(self, device_id: str, spec: ExperimentSpec) -> StreamSession:
-        from ..resilience import decode_records, load_checkpoint
+        from ..resilience import load_checkpoint
 
         t0 = time.perf_counter()
         path = self._evicted.pop(device_id)
         try:
             ck = load_checkpoint(path, expected_kind=SESSION_KIND)
+            version = ck.meta.get("spool_format", 1)
+            if version != SPOOL_FORMAT_VERSION:
+                raise CheckpointVersionError(
+                    f"spool file {path}: format {version} is not supported "
+                    f"(this library reads format {SPOOL_FORMAT_VERSION})"
+                )
         except CheckpointError as exc:
             # Mirror ParallelRunner's corrupt-checkpoint policy: a damaged
             # spool file costs that one device, never the manager. Count
@@ -758,12 +776,12 @@ class FleetManager:
                 f"not {device_id!r}."
             )
         pipeline = restore_pipeline(spec, ck.state["pipeline"], ck.state["guard"])
-        records = decode_records(ck.state["records"])
+        block = decode_block(ck.state["records"])
         session = StreamSession(
             pipeline,
             self._stack(spec, pipeline, device_id),
             start=int(ck.state["position"]),
-            records=records,
+            blocks=[block],
         ).open()
         self.stats.restores += 1
         self.stats.restore_seconds += time.perf_counter() - t0

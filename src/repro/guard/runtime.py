@@ -31,6 +31,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..core.records import RecordBlock
 from ..resilience.state import snapshot_state
 from ..telemetry import Telemetry, get_telemetry
 from ..utils.exceptions import ConfigurationError, GuardError
@@ -302,10 +303,11 @@ class RuntimeGuard:
 
     # -- the streaming surface -------------------------------------------------
 
-    def process_chunk(self, Xc: np.ndarray, yc: np.ndarray) -> list:
+    def process_chunk(self, Xc: np.ndarray, yc: np.ndarray) -> RecordBlock:
         """Consume a non-empty prefix of the chunk through the guard.
 
-        Mirrors the contract of ``StreamPipeline._process_chunk`` so the
+        Mirrors the contract of ``StreamPipeline._process_chunk`` (its
+        records as one :class:`~repro.core.records.RecordBlock`) so the
         run loops need no special casing.
         """
         pipe = self.pipeline
@@ -317,20 +319,23 @@ class RuntimeGuard:
             # Fast path: delegate verbatim — records byte-identical to an
             # unguarded run. Bookkeeping only touches tallies.
             mutations = pipe.n_mutations
-            recs = pipe._process_chunk(Xc, yc)
-            self.sanitizer.counts["ok"] += len(recs)
-            self.sanitizer._last_good = np.array(Xc[len(recs) - 1], dtype=np.float64)
-            last = recs[-1]
-            self._last_pred, self._last_score = last.predicted, last.anomaly_score
+            block = pipe._process_chunk(Xc, yc)
+            n = len(block)
+            self.sanitizer.counts["ok"] += n
+            self.sanitizer._last_good = np.array(Xc[n - 1], dtype=np.float64)
+            self._last_pred = int(block.predicted[-1])
+            self._last_score = float(block.score[-1])
             if pipe.checkpoint_volatility == "always" or pipe.n_mutations != mutations:
                 # Only steps that can change learned state advance the
                 # snapshot cadence — a pure-predict chunk costs nothing.
-                self._since_snapshot += len(recs)
+                self._since_snapshot += n
                 self._check_sentinel()
                 self._maybe_snapshot()
-            return recs
+            return block
         # Slow path: per-sample sanitation.
-        return [self._step(Xc[j], int(yc[j])) for j in range(len(Xc))]
+        return RecordBlock.from_records(
+            [self._step(Xc[j], int(yc[j])) for j in range(len(Xc))]
+        )
 
     def _step(self, x: np.ndarray, y_true: int):
         """Guarded equivalent of ``pipeline.process_one`` for one sample."""

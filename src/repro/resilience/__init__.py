@@ -10,7 +10,8 @@ counters) is irrecoverable once lost. This package provides
   O(interval), not O(history) (:mod:`repro.resilience.reclog`),
 * a shared background writer that keeps container writes and fsyncs
   off the streaming hot path (:mod:`repro.resilience.writer`),
-* state-tree and StepRecord codecs (:mod:`repro.resilience.state`), and
+* the state-tree codec and StepRecord-list helpers over the shared
+  record codec (:mod:`repro.resilience.state`), and
 * a deterministic fault-injection harness
   (:mod:`repro.resilience.faults`)
 

@@ -55,11 +55,11 @@ class crash_at:
     """Arm ``pipeline`` to raise :class:`InjectedCrash` at sample ``step``.
 
     The hook wraps the pipeline's two record emitters, ``_record`` (one
-    record) and ``_record_rows`` (a block of predict/check records), as
-    *instance* attributes, so it fires just before the record for
-    ``step`` would be produced — after any earlier checkpoint was
-    written, before the step's result exists. A block that reaches
-    ``step`` emits the records before it and then raises. Usable as a
+    record) and ``_record_rows`` (a chunk's record block), as *instance*
+    attributes, so it fires just before the record for ``step`` would be
+    produced — after any earlier checkpoint was written, before the
+    step's result exists. A block that reaches ``step`` emits the
+    records before it and then raises. Usable as a
     context manager (disarms on exit) or via :meth:`disarm`.
 
     Examples
@@ -91,14 +91,16 @@ class crash_at:
                 raise crash()
             return record(pipeline, *args, **kwargs)
 
-        def hooked_rows(labels, scores, ys, phases):
+        def hooked_rows(labels, scores, yc, phases, **kwargs):
             room = self.step - pipeline._index
             if room >= len(labels):
-                return record_rows(pipeline, labels, scores, ys, phases)
+                return record_rows(pipeline, labels, scores, yc, phases, **kwargs)
             if room > 0:
-                if not isinstance(phases, str):
+                if np.ndim(phases):
                     phases = phases[:room]
-                record_rows(pipeline, labels[:room], scores[:room], ys[:room], phases)
+                record_rows(
+                    pipeline, labels[:room], scores[:room], yc[:room], phases, **kwargs
+                )
             raise crash()
 
         pipeline.__dict__["_record"] = hooked

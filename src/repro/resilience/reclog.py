@@ -9,13 +9,15 @@ A checkpointed ``StreamPipeline.run`` writes two files:
 * ``<path>.log`` — this file: ``LOG_MAGIC`` then a sequence of blocks,
   one per persisted span (one or more checkpoint intervals — clean
   intervals are deferred and batched), each holding the span's
-  ``StepRecord``s packed as fixed-width structs (bit-exact ``float64``
-  scores) plus a block-local phase vocabulary::
+  :class:`~repro.core.records.RecordBlock` columns in the shared record
+  codec (:func:`~repro.core.records.encode_blocks`: column bytes, so
+  ``float64`` scores are bit-exact, plus the phase vocabulary)::
 
       block = uint64-LE body length | sha256(body) | body
-      body  = uint64 start index | uint32 epoch | uint32 n_records
-              | uint16 vocab count | (uint16 len + utf-8 phase)*
-              | n_records × record struct
+      body  = uint64 start position | uint32 epoch | record codec bytes
+
+  The start position is the run position of the span's first record;
+  the codec carries the records' own stream index, count and columns.
 
 Appending a span costs O(span) — the state container never
 re-serialises old records — which is what keeps every-N checkpointing
@@ -50,7 +52,9 @@ import os
 import struct
 from hashlib import sha256
 from pathlib import Path
-from typing import Any, List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
+
+from ..core.records import RecordBlock, decode_block, encode_blocks
 
 __all__ = [
     "LOG_MAGIC",
@@ -60,15 +64,13 @@ __all__ = [
     "remove_run_checkpoint",
 ]
 
-#: File magic: "RePRo rESilience record LoG", revision 1.
-LOG_MAGIC = b"RPRESLG1"
+#: File magic: "RePRo rESilience record LoG", revision 2 (column blocks).
+#: A revision-1 log (per-record structs) reads as an empty trusted prefix.
+LOG_MAGIC = b"RPRESLG2"
 
 _DIGEST_LEN = 32
 _BLOCK_LEN = struct.Struct("<Q")
-_BODY_HDR = struct.Struct("<QII")  # start index, epoch, n_records
-_VOCAB_LEN = struct.Struct("<H")
-#: index, predicted, true_label, correct, true_none, drift, recon, phase, score
-_REC = struct.Struct("<qqqbb??Bd")
+_BODY_HDR = struct.Struct("<QI")  # start position, epoch
 
 
 def record_log_path(path: Union[str, Path]) -> Path:
@@ -82,69 +84,6 @@ def remove_run_checkpoint(path: Union[str, Path]) -> None:
     path = Path(path)
     path.unlink(missing_ok=True)
     record_log_path(path).unlink(missing_ok=True)
-
-
-def _encode_block(records: List[Any], start_index: int, epoch: int) -> bytes:
-    vocab = {}  # phase -> code, in first-seen order
-    pack = _REC.pack
-    out = bytearray()
-    # StepRecords are named tuples: unpacking beats eight attribute reads.
-    for index, predicted, tl, correct, score, drift, recon, phase in records:
-        code = vocab.get(phase)
-        if code is None:
-            code = vocab[phase] = len(vocab)
-        out += pack(
-            index,
-            predicted,
-            -1 if tl is None else tl,
-            -1 if correct is None else correct,
-            tl is None,
-            drift,
-            recon,
-            code,
-            score,
-        )
-    head = bytearray(_BODY_HDR.pack(start_index, epoch, len(records)))
-    head += _VOCAB_LEN.pack(len(vocab))
-    for phase in vocab:
-        raw = phase.encode("utf-8")
-        head += _VOCAB_LEN.pack(len(raw))
-        head += raw
-    return bytes(head + out)
-
-
-def _decode_body(body: memoryview) -> Tuple[int, int, List[Any]]:
-    """(start_index, epoch, records) for one checksum-valid block body."""
-    from repro.core.pipeline import StepRecord  # lazy: core <-> resilience cycle
-
-    start, epoch, n = _BODY_HDR.unpack_from(body, 0)
-    off = _BODY_HDR.size
-    (vcount,) = _VOCAB_LEN.unpack_from(body, off)
-    off += _VOCAB_LEN.size
-    vocab: List[str] = []
-    for _ in range(vcount):
-        (vlen,) = _VOCAB_LEN.unpack_from(body, off)
-        off += _VOCAB_LEN.size
-        vocab.append(bytes(body[off : off + vlen]).decode("utf-8"))
-        off += vlen
-    if len(body) - off != n * _REC.size:
-        raise ValueError("block body length does not match record count")
-    records: List[Any] = []
-    for tup in _REC.iter_unpack(body[off:]):
-        index, predicted, true_label, correct, true_none, drift, recon, code, score = tup
-        records.append(
-            StepRecord(
-                index,
-                predicted,
-                None if true_none else true_label,
-                None if correct < 0 else bool(correct),
-                score,
-                drift,
-                recon,
-                vocab[code],
-            )
-        )
-    return int(start), int(epoch), records
 
 
 class RecordLogWriter:
@@ -173,9 +112,12 @@ class RecordLogWriter:
             self._fh.truncate(trusted_bytes)
             self._fh.seek(trusted_bytes)
 
-    def append(self, records: List[Any], *, start_index: int, epoch: int) -> None:
-        """Buffer one block (flushed by :meth:`flush`/:meth:`close`)."""
-        body = _encode_block(records, start_index, epoch)
+    def append(
+        self, blocks: Sequence[RecordBlock], *, start_index: int, epoch: int
+    ) -> None:
+        """Buffer ``blocks`` as one log block (flushed by
+        :meth:`flush`/:meth:`close`)."""
+        body = _BODY_HDR.pack(start_index, epoch) + encode_blocks(blocks)
         self._fh.write(_BLOCK_LEN.pack(len(body)))
         self._fh.write(sha256(body).digest())
         self._fh.write(body)
@@ -198,14 +140,16 @@ class RecordLogWriter:
 
 def read_record_log(
     path: Union[str, Path], *, max_epoch: int, start_index: int = 0
-) -> Tuple[List[Any], int]:
+) -> Tuple[List[RecordBlock], int]:
     """Decode the trusted prefix of a record log.
 
-    Returns ``(records, trusted_bytes)``. Reading stops — without
-    raising — at the first torn, checksum-invalid, non-contiguous,
-    epoch-regressing, or higher-than-``max_epoch`` block; whether the
-    surviving prefix is *sufficient* is the caller's judgement (it knows
-    the state container's position). A missing log reads as empty.
+    Returns ``(blocks, trusted_bytes)``, one block per log block.
+    Reading stops — without raising — at the first torn,
+    checksum-invalid, non-contiguous, epoch-regressing, or
+    higher-than-``max_epoch`` block; whether the surviving prefix is
+    *sufficient* is the caller's judgement (it knows the state
+    container's position). A missing log, or one of another revision,
+    reads as empty.
     """
     path = Path(path)
     try:
@@ -214,7 +158,7 @@ def read_record_log(
         return [], 0
     if raw[: len(LOG_MAGIC)] != LOG_MAGIC:
         return [], 0
-    records: List[Any] = []
+    blocks: List[RecordBlock] = []
     offset = len(LOG_MAGIC)
     next_index = start_index
     last_epoch = 0
@@ -231,13 +175,14 @@ def read_record_log(
         if sha256(body).digest() != digest:
             break
         try:
-            start, epoch, block_records = _decode_body(body)
+            start, epoch = _BODY_HDR.unpack_from(body, 0)
+            block = decode_block(body[_BODY_HDR.size :])
         except Exception:
             break
         if start != next_index or epoch < last_epoch or epoch > max_epoch:
             break
-        records.extend(block_records)
-        next_index += len(block_records)
+        blocks.append(block)
+        next_index += len(block)
         last_epoch = epoch
         offset = body_end
-    return records, offset
+    return blocks, offset

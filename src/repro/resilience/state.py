@@ -8,18 +8,20 @@ placeholder dict and collects the arrays into a separate name → array
 mapping (written as the container's binary array payload);
 :func:`unflatten_state` reverses the substitution on load.
 
-:func:`encode_records` / :func:`decode_records` do the same for lists of
-``StepRecord`` — stored column-wise as typed arrays so that ``float64``
-anomaly scores round-trip bit-exactly and a resumed run can prepend the
-already-produced records byte-for-byte.
+:func:`encode_records` / :func:`decode_records` put a list of
+``StepRecord`` into a state tree as one ``uint8`` leaf, in the record
+codec that the run-checkpoint record log and the fleet spool write
+(:mod:`repro.core.records`), so ``float64`` anomaly scores round-trip
+bit-exactly.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..core.records import RecordBlock, StepRecord, decode_block, encode_blocks
 from ..utils.exceptions import ConfigurationError
 
 __all__ = [
@@ -93,93 +95,17 @@ def state_arrays_nbytes(state: Any) -> int:
 
 
 # --------------------------------------------------------------------------
-# StepRecord column-wise codec
+# StepRecord lists in the shared record codec
 # --------------------------------------------------------------------------
 
 
-def _encode_columns(
-    records: List[Any], seen: Dict[str, int], vocab: List[str]
-) -> Dict[str, np.ndarray]:
-    """Column arrays for ``records``; extends ``seen``/``vocab`` in place."""
-    n = len(records)
-    index = np.fromiter((r.index for r in records), dtype=np.int64, count=n)
-    predicted = np.fromiter((r.predicted for r in records), dtype=np.int64, count=n)
-    true_label = np.fromiter(
-        (-1 if r.true_label is None else r.true_label for r in records),
-        dtype=np.int64,
-        count=n,
-    )
-    true_none = np.fromiter(
-        (r.true_label is None for r in records), dtype=np.bool_, count=n
-    )
-    correct = np.fromiter(
-        (-1 if r.correct is None else int(r.correct) for r in records),
-        dtype=np.int8,
-        count=n,
-    )
-    anomaly_score = np.fromiter(
-        (r.anomaly_score for r in records), dtype=np.float64, count=n
-    )
-    drift = np.fromiter((r.drift_detected for r in records), dtype=np.bool_, count=n)
-    recon = np.fromiter((r.reconstructing for r in records), dtype=np.bool_, count=n)
-
-    codes = np.empty(n, dtype=np.int64)
-    for i, r in enumerate(records):
-        code = seen.get(r.phase)
-        if code is None:
-            code = seen[r.phase] = len(vocab)
-            vocab.append(r.phase)
-        codes[i] = code
-
-    return {
-        "index": index,
-        "predicted": predicted,
-        "true_label": true_label,
-        "true_none": true_none,
-        "correct": correct,
-        "anomaly_score": anomaly_score,
-        "drift_detected": drift,
-        "reconstructing": recon,
-        "phase_codes": codes,
-    }
+def encode_records(records: Sequence[StepRecord]) -> np.ndarray:
+    """Consecutive StepRecords in the shared record codec
+    (:func:`~repro.core.records.encode_blocks`), as a ``uint8`` array
+    leaf for a state tree. Every field round-trips exactly."""
+    return np.frombuffer(encode_blocks([RecordBlock.from_records(records)]), np.uint8)
 
 
-def encode_records(records: List[Any]) -> Dict[str, Any]:
-    """Serialise StepRecords column-wise with exact dtype round-trips.
-
-    ``true_label``/``correct`` may be ``None`` on unlabeled streams, so
-    they carry a sentinel (-1 in an int8/int64 column plus a mask).
-    ``phase`` strings are stored as a vocabulary list + integer codes.
-    """
-    vocab: List[str] = []
-    seen: Dict[str, int] = {}
-    cols = _encode_columns(records, seen, vocab)
-    return {**cols, "phase_vocab": vocab}
-
-
-def decode_records(encoded: Dict[str, Any]) -> List[Any]:
-    """Rebuild the StepRecord list from :func:`encode_records` output."""
-    from repro.core.pipeline import StepRecord  # lazy: avoid core <-> resilience cycle
-
-    vocab = list(encoded["phase_vocab"])
-    columns = (
-        "index", "predicted", "true_label", "true_none", "correct",
-        "anomaly_score", "drift_detected", "reconstructing", "phase_codes",
-    )
-    # tolist() yields the same Python ints/bools/floats as per-element
-    # int()/bool()/float(), one C call per column.
-    rows = zip(*(np.asarray(encoded[name]).tolist() for name in columns))
-    records = [
-        StepRecord(
-            index,
-            predicted,
-            None if true_none else true_label,
-            None if correct < 0 else bool(correct),
-            score,
-            drift,
-            recon,
-            vocab[code],
-        )
-        for index, predicted, true_label, true_none, correct, score, drift, recon, code in rows
-    ]
-    return records
+def decode_records(encoded: np.ndarray) -> List[StepRecord]:
+    """The StepRecords :func:`encode_records` stored."""
+    return decode_block(encoded).records()

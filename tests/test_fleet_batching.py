@@ -133,7 +133,7 @@ class TestScorePriming:
         def step(k, X):
             pipe = group.members[k][1]
             y = np.zeros(len(X), dtype=np.int64)
-            return group.step([(k, consume_for(pipe), X, y)])[0]
+            return group.step([(k, consume_for(pipe), X, y)])[0].records()
 
         return step, seen
 

@@ -306,3 +306,45 @@ class TestIoPersistenceAtomicity:
         a = np.array([r.anomaly_score for r in replay])
         b = np.array([r.anomaly_score for r in golden])
         assert a.tobytes() == b.tobytes()
+
+
+class TestStaleContainer:
+    """A fresh run never resumes from a container an earlier run left."""
+
+    EVERY = 64
+
+    def test_fresh_run_is_not_paired_with_an_earlier_container(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core import build_proposed
+        from repro.datasets import NSLKDDConfig, make_nslkdd_like
+        from repro.metrics import evaluate_method
+        from repro.resilience import InjectedCrash, crash_at
+        from repro.resilience import checkpoint as container
+
+        train, test = make_nslkdd_like(
+            NSLKDDConfig(n_train=400, n_test=600, drift_at=300), seed=0
+        )
+
+        def make(seed):
+            return build_proposed(train.X, train.y, window_size=60, seed=seed)
+
+        ckpt = tmp_path / "cell.ckpt"
+        # Run A (model seed 1) is killed after its first container.
+        with pytest.raises(InjectedCrash):
+            with crash_at(a := make(1), self.EVERY + 30):
+                a.run(test, checkpoint_every=self.EVERY, checkpoint_path=ckpt)
+        assert ckpt.exists()
+        # A fresh run B (seed 2) on the same path is killed after its
+        # first log block, before its first container lands.
+        with monkeypatch.context() as patch:
+            patch.setattr(container, "save_checkpoint", lambda *a, **k: None)
+            with pytest.raises(InjectedCrash):
+                with crash_at(b := make(2), self.EVERY + 30):
+                    b.run(test, checkpoint_every=self.EVERY, checkpoint_path=ckpt)
+        # Resuming B must not load A's state over B's records.
+        result = evaluate_method(
+            make(2), test, checkpoint_every=self.EVERY, checkpoint_path=ckpt
+        )
+        assert result.resumed_at is None
+        assert result.records == make(2).run(test)
